@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-wall results bench-diff bench-baseline jobs-equiv par-equiv trace-smoke server-smoke autonomic-smoke model-smoke doc-lint profile
+.PHONY: ci vet build test race bench bench-wall results bench-diff bench-baseline jobs-equiv perfbench-test trace-smoke server-smoke autonomic-smoke model-smoke doc-lint profile
 
-ci: vet build test race bench-diff jobs-equiv par-equiv trace-smoke server-smoke autonomic-smoke model-smoke doc-lint
+ci: vet build test race bench-diff jobs-equiv perfbench-test trace-smoke server-smoke autonomic-smoke model-smoke doc-lint
 
 vet:
 	$(GO) vet ./...
@@ -27,7 +27,7 @@ test:
 race:
 	$(GO) test -race ./internal/native/... ./internal/exp/... ./internal/workload/...
 	$(GO) test -race -count=2 -run 'Cohort|CNA|CrossValidation' ./internal/native/
-	$(GO) test -race -count=2 -run 'Parallel|TimedStress' ./internal/sim/ ./internal/workload/
+	$(GO) test -race -count=2 -run 'TimedStress' ./internal/workload/
 	$(GO) test -race -count=2 ./internal/autonomic/
 
 bench:
@@ -36,10 +36,10 @@ bench:
 # Simulator wall-clock throughput: ns of host time per simulated engine
 # event for the engine hot paths (dispatch, coalesced think, memory access,
 # contended swap, watch/park hand-off) and the lock acquire paths, plus the
-# parallel engine's events/sec and worker-count overhead (parspeed).
+# serial quick suite's per-experiment wall time and events/sec.
 bench-wall:
 	$(GO) test -bench . -run NONE -benchmem ./internal/sim/ ./internal/locks/
-	$(GO) run ./cmd/hurricane-bench -run '^parspeed$$' -jobs 1 -json '' | grep -A 10 "Parallel-engine speedup"
+	$(GO) run ./cmd/hurricane-bench -quick -jobs 1 -wall /tmp/hurricane_wall.json
 
 # Regenerate every table/figure plus the machine-readable BENCH_sim.json.
 results:
@@ -61,14 +61,11 @@ jobs-equiv:
 	cmp /tmp/hurricane_jobs1.json /tmp/hurricane_jobs8.json
 	@echo "jobs-equiv: -jobs 1 and -jobs 8 summaries are byte-identical"
 
-# Determinism gate for the parallel discrete-event engine: the parstress
-# sweep must be byte-identical with 1 logical-process worker (the inline
-# serial reference) and an 8-way worker pool inside each simulation.
-par-equiv:
-	$(GO) run ./cmd/hurricane-bench -quick -run '^parstress$$' -parworkers 1 -json /tmp/hurricane_par1.json > /dev/null
-	$(GO) run ./cmd/hurricane-bench -quick -run '^parstress$$' -parworkers 8 -json /tmp/hurricane_par8.json > /dev/null
-	cmp /tmp/hurricane_par1.json /tmp/hurricane_par8.json
-	@echo "par-equiv: -parworkers 1 and -parworkers 8 summaries are byte-identical"
+# The benchmark harness is its own Go module, so `go test ./...` above never
+# builds it: vet and test it here so an internal API change cannot break it
+# unnoticed.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # End-to-end check of the span pipeline: trace a tiny kernel workload,
 # feed the trace through traceanal, and require a non-empty placement

@@ -62,7 +62,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced round counts")
 	jsonPath := flag.String("json", "BENCH_sim.json", "machine-readable summary path (empty to disable)")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "worker pool size for experiments and their cells (1 = serial)")
-	parworkers := flag.Int("parworkers", 8, "logical-process worker count inside parallel-engine experiments (deterministic: any value yields the same summary)")
 	wallPath := flag.String("wall", "", "wall-clock metrics path (empty to disable)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this path")
@@ -118,15 +117,6 @@ func main() {
 		{"autonomic", func() *exp.Table { return exp.AutonomicSweep(*seed, rounds(40, 15)) }},
 		{"parstress", func() *exp.Table { return exp.ParStress(*seed, rounds(4000, 2500), !*quick) }},
 	}
-	if !*quick {
-		// Wall-clock speedup is a host measurement, not a simulated one:
-		// meaningless at CI scale and excluded from the deterministic quick
-		// summary by construction.
-		experiments = append(experiments, struct {
-			name string
-			run  func() *exp.Table
-		}{"parspeed", func() *exp.Table { return exp.ParSpeed(*seed, 4000) }})
-	}
 
 	var re *regexp.Regexp
 	if *runPat != "" {
@@ -157,7 +147,6 @@ func main() {
 	}
 
 	exp.SetParallelism(*jobs)
-	exp.SetParWorkers(*parworkers)
 
 	// Run everything on the pool (experiments fan out again into their own
 	// cells), buffer each table, then print and assemble the report in

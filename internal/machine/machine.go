@@ -53,8 +53,7 @@ func NUMAchine64(seed uint64) sim.Config {
 // the 8 local rings joined by one global ring (the NUMAchine hierarchy).
 // Within-group remote accesses keep the NUMAchine64 ring cost; cross-group
 // accesses traverse local ring, global ring and the remote local ring at
-// Ring2. Dense sweeps at this size need the parallel engine — set
-// Config.Workers before building.
+// Ring2.
 func NUMAchine256(seed uint64) sim.Config {
 	c := NUMAchine64(seed)
 	c.Stations = 32

@@ -144,15 +144,18 @@ func (a *Advisor) lockFor(s Shape, capUS float64) Lock {
 // excess the model knows about is divided back out instead of being
 // misread as critical section.
 func (a *Advisor) Infer(cur Shape, curCapUS, waitUS, svcUS float64) Point {
-	if svcUS <= 0 {
+	if !(svcUS > 0) {
 		return Point{Procs: 1}
 	}
-	p := int(waitUS/svcUS + 1.5)
-	if p < 1 {
+	// Clamp in float64 before converting: an out-of-range float-to-int
+	// conversion (1e30, +Inf) is implementation-defined, and NaN fails
+	// every comparison, so both fall through to the most contended point.
+	r := waitUS/svcUS + 1.5
+	p := a.Pr.M.Procs()
+	if r < 1 {
 		p = 1
-	}
-	if total := a.Pr.M.Procs(); p > total {
-		p = total
+	} else if r < float64(p) {
+		p = int(r)
 	}
 	l := a.lockFor(cur, curCapUS)
 	rl := l

@@ -229,6 +229,39 @@ func TestAdvisorEndpoints(t *testing.T) {
 	}
 }
 
+// A degenerate wait signal (overflowing, infinite, or NaN) is the most
+// contended signal there is: Infer must place it at the machine's full
+// processor count, and Advise must never pick a less contended shape for
+// it than for a large finite wait.
+func TestAdvisorDegenerateWait(t *testing.T) {
+	const svc = 30
+	machines := []struct {
+		name string
+		m    Machine
+	}{{"hector16", hector16()}, {"numachine64", numachine64()}, {"numachine256", numachine256()}}
+	for _, mc := range machines {
+		adv := NewAdvisor(mc.m, Calibration{})
+		ref := adv.Advise(ShapeSpin, 35, 1e5, svc)
+		for _, tc := range []struct {
+			name string
+			wait float64
+		}{
+			{"1e30", 1e30},
+			{"+Inf", math.Inf(1)},
+			{"NaN", math.NaN()},
+			{"MaxFloat64", math.MaxFloat64},
+		} {
+			if got := adv.Infer(ShapeSpin, 35, tc.wait, svc).Procs; got != mc.m.Procs() {
+				t.Errorf("%s wait=%s: inferred procs = %d, want %d", mc.name, tc.name, got, mc.m.Procs())
+			}
+			if a := adv.Advise(ShapeSpin, 35, tc.wait, svc); a.Shape < ref.Shape {
+				t.Errorf("%s wait=%s: advice %v is less contended than %v for wait=1e5 (advice %+v)",
+					mc.name, tc.name, a.Shape, ref.Shape, a)
+			}
+		}
+	}
+}
+
 // FromConfig must apply the simulator's defaulting rules.
 func TestFromConfigDefaults(t *testing.T) {
 	m := FromConfig(sim.Config{})

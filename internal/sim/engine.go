@@ -272,46 +272,3 @@ func (e *Engine) RunAll() uint64 {
 
 // Pending reports how many events are queued.
 func (e *Engine) Pending() int { return len(e.events) }
-
-// nextEventAt reports the time of the earliest queued event, if any.
-func (e *Engine) nextEventAt() (Time, bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
-}
-
-// runCoordinator dispatches this engine's queued events with at <= until
-// and advances the clock to until. It is the parallel coordinator's window
-// step: unlike Run it does not treat a daemon-only queue as a finished
-// simulation, because in parallel mode the processors live in the
-// per-station engines and this engine typically holds nothing but daemon
-// samplers. The workers are quiesced at the barrier when this runs, so
-// daemon callbacks may read cross-station state.
-func (e *Engine) runCoordinator(until Time) {
-	startDispatched := e.processed
-	for len(e.events) > 0 && e.events[0].at <= until {
-		ev := e.pop()
-		e.now = ev.at
-		e.processed++
-		if !ev.daemon {
-			e.live--
-		}
-		if ev.proc != nil {
-			ev.proc.wakeEvent()
-		} else {
-			ev.fn()
-		}
-	}
-	if e.now < until {
-		e.now = until
-	}
-	totalDispatched.Add(e.processed - startDispatched)
-}
-
-// discardAll abandons every queued event (parallel-mode termination: once
-// no live events remain anywhere, leftover daemons are dropped exactly as
-// Run's live==0 branch does for the serial engine).
-func (e *Engine) discardAll() {
-	e.events = e.events[:0]
-}

@@ -18,16 +18,6 @@ type Config struct {
 	// ring (the NUMAchine multi-level hierarchy). 0 keeps the flat single
 	// ring; it must divide Stations.
 	StationsPerRing int
-	// Workers > 0 selects the conservative parallel engine: one logical
-	// process per station, cross-station traffic as timestamped inter-LP
-	// messages, and up to Workers goroutines executing LPs inside barrier-
-	// synchronized lookahead windows (see parallel.go). Workers == 1 runs
-	// the same partitioned model single-threaded and is the serial reference
-	// that `make par-equiv` compares higher worker counts against. The
-	// parallel model restricts the API surface: no tracing, no migratable
-	// regions, no Machine.SendIPI (use Proc.SendIPI), and cross-station
-	// coordination must go through simulated memory, not Park/Unpark.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -50,10 +40,6 @@ type Machine struct {
 	Mem   *Memory
 	Procs []*Proc
 	cfg   Config
-	// par is non-nil when Config.Workers selected the parallel engine; Eng
-	// is then the coordinator (daemons and barrier-time bookkeeping) and
-	// each station's events live in its logical process's engine.
-	par *parSim
 }
 
 // NewMachine builds a machine from cfg (zero fields take HECTOR defaults:
@@ -71,9 +57,6 @@ func NewMachine(cfg Config) *Machine {
 	for i := 0; i < n; i++ {
 		m.Procs[i] = newProc(i, m)
 	}
-	if cfg.Workers > 0 {
-		m.par = newParSim(m, cfg.Workers)
-	}
 	return m
 }
 
@@ -86,50 +69,34 @@ func (m *Machine) NumProcs() int { return len(m.Procs) }
 // Lat returns the machine's timing parameters.
 func (m *Machine) Lat() Latency { return m.cfg.Lat }
 
-// Go arranges for processor id to run program starting at time t. The start
-// event is scheduled on the processor's own engine, so in parallel mode the
-// program runs inside its station's logical process.
+// GoAt arranges for processor id to run program starting at time t.
 func (m *Machine) GoAt(id int, t Time, program func(*Proc)) {
 	p := m.Procs[id]
-	p.eng.At(t, func() { p.start(program) })
+	m.Eng.At(t, func() { p.start(program) })
 }
 
 // Go arranges for processor id to run program starting now.
 func (m *Machine) Go(id int, program func(*Proc)) {
-	m.GoAt(id, m.Procs[id].eng.Now(), program)
+	m.GoAt(id, m.Eng.Now(), program)
 }
 
 // SendIPI delivers an inter-processor interrupt to processor `to` after the
 // machine's IPI delivery latency. The handler runs inline on the target.
-// Callable from proc or engine context. In parallel mode the sender's
-// station matters (the IPI may cross logical processes), so callers must
-// use Proc.SendIPI instead.
+// Callable from proc or engine context.
 func (m *Machine) SendIPI(to int, h IRQHandler) {
-	if m.par != nil {
-		panic("sim: Machine.SendIPI in parallel mode; use Proc.SendIPI")
-	}
 	p := m.Procs[to]
 	m.Eng.After(m.cfg.Lat.IPI, func() { p.postIRQ(h) })
 }
 
 // Run drives the simulation until the event queue drains or the clock
-// passes `until`. In parallel mode execution proceeds in lookahead windows
-// and stops at the last window boundary not past `until`.
+// passes `until`.
 func (m *Machine) Run(until Time) {
-	if m.par != nil {
-		m.par.run(until)
-		return
-	}
 	m.Eng.Run(until)
 }
 
 // RunAll drives the simulation until no events remain (all processors
 // finished or parked forever).
 func (m *Machine) RunAll() {
-	if m.par != nil {
-		m.par.run(^Time(0))
-		return
-	}
 	m.Eng.RunAll()
 }
 
@@ -137,10 +104,6 @@ func (m *Machine) RunAll() {
 // exit. Call only after the engine has drained (RunAll returned); killing a
 // processor with a pending wake event would wedge the handshake.
 func (m *Machine) Shutdown() {
-	if m.par != nil {
-		m.par.shutdown()
-		return
-	}
 	if m.Eng.Pending() != 0 {
 		panic(fmt.Sprintf("sim: Shutdown with %d events still pending", m.Eng.Pending()))
 	}

@@ -92,14 +92,6 @@ type Memory struct {
 	ring Resource
 	// localRings is one ring per station group (nil on flat machines).
 	localRings []Resource
-	// ringPorts exist only in parallel (LP) mode: one per-station port onto
-	// the ring fabric, owned by that station's logical process, approximating
-	// the shared ring(s) with station-local injection queues (a slotted ring
-	// admits one outstanding transfer per station port).
-	ringPorts []Resource
-	// par is non-nil when the machine runs the conservative parallel engine;
-	// cross-station accesses then travel as inter-LP messages.
-	par *parSim
 
 	// data holds one word slice per address-space index: the physical
 	// modules first, then any migratable regions (see NewRegion). homes maps
@@ -120,11 +112,8 @@ type Memory struct {
 	// ReplicaUpdates counts write-propagation transfers charged to keep
 	// replicas coherent (one per extra copy per write).
 	ReplicaUpdates uint64
-	// watchers is sharded by the watched word's station (regions, which can
-	// migrate between stations, share one extra shard): in parallel mode a
-	// shard is touched only by its owning logical process, and in serial
-	// mode the sharding is invisible (lookups are by exact address).
-	watchers []map[Addr]watchList
+	// watchers maps each watched word to the processors sleeping on it.
+	watchers map[Addr]watchList
 }
 
 // watchList is an intrusive FIFO of processors sleeping on a write-watch,
@@ -152,7 +141,7 @@ func newMemory(eng *Engine, nStations, procsPerStation, stationsPerRing int, lat
 		modules:         make([]Resource, n),
 		buses:           make([]Resource, nStations),
 		data:            make([][]uint64, n),
-		watchers:        make([]map[Addr]watchList, nStations+1),
+		watchers:        make(map[Addr]watchList),
 	}
 	if stationsPerRing > 0 {
 		if m.lat.Ring2 == 0 {
@@ -174,9 +163,6 @@ func newMemory(eng *Engine, nStations, procsPerStation, stationsPerRing int, lat
 	for i := range m.buses {
 		m.buses[i].Name = fmt.Sprintf("bus%d", i)
 	}
-	for i := range m.watchers {
-		m.watchers[i] = make(map[Addr]watchList)
-	}
 	m.ring.Name = "ring"
 	return m
 }
@@ -189,17 +175,6 @@ func (m *Memory) groupOf(station int) int {
 	return station / m.stationsPerRing
 }
 
-// watchShard picks the watcher shard for an address: the station of the
-// word's (raw) module, which never changes, or the spare last shard for
-// migratable regions, whose physical home can move mid-watch.
-func (m *Memory) watchShard(a Addr) map[Addr]watchList {
-	mod := a.Module()
-	if mod >= len(m.modules) {
-		return m.watchers[len(m.buses)]
-	}
-	return m.watchers[m.stationOf(mod)]
-}
-
 // NumModules reports the number of processor-memory modules.
 func (m *Memory) NumModules() int { return len(m.modules) }
 
@@ -209,9 +184,6 @@ func (m *Memory) NumModules() int { return len(m.modules) }
 // Addresses in a region are stable for the region's lifetime; MigrateRegion
 // re-points which physical module serves them.
 func (m *Memory) NewRegion(phys int) int {
-	if m.par != nil {
-		panic("sim: migratable regions are not supported in parallel mode")
-	}
 	if phys < 0 || phys >= len(m.modules) {
 		panic(fmt.Sprintf("sim: NewRegion on module %d of %d", phys, len(m.modules)))
 	}
@@ -253,9 +225,6 @@ func (m *Memory) RegionWords(id int) int {
 // It reports the words copied and the stall charged to p. Migrating to the
 // current home is free. Physical modules cannot migrate.
 func (m *Memory) MigrateRegion(p *Proc, region, to int) (words int, cost Duration) {
-	if m.par != nil {
-		panic("sim: MigrateRegion is not supported in parallel mode")
-	}
 	if region < len(m.modules) || region >= len(m.data) {
 		panic(fmt.Sprintf("sim: MigrateRegion of non-region %d", region))
 	}
@@ -322,9 +291,6 @@ func (m *Memory) burst(from, to, words int) Duration {
 // existing replica is a free no-op. The primary cannot migrate while
 // replicas exist (MigrateRegion panics); CollapseRegion drops them.
 func (m *Memory) ReplicateRegion(p *Proc, region, to int) (words int, cost Duration) {
-	if m.par != nil {
-		panic("sim: ReplicateRegion is not supported in parallel mode")
-	}
 	if region < len(m.modules) || region >= len(m.data) {
 		panic(fmt.Sprintf("sim: ReplicateRegion of non-region %d", region))
 	}
@@ -447,8 +413,7 @@ func (m *Memory) Ring() *Resource { return &m.ring }
 
 // ResetStats opens a fresh accounting window on every resource at the
 // current simulated time, clearing the utilization counters. Utilization
-// read afterwards covers only activity since this call. In parallel mode
-// call it only while the workers are quiesced (before Run or at a barrier).
+// read afterwards covers only activity since this call.
 func (m *Memory) ResetStats() {
 	now := m.eng.Now()
 	for i := range m.modules {
@@ -460,15 +425,11 @@ func (m *Memory) ResetStats() {
 	for i := range m.localRings {
 		m.localRings[i].ResetStats(now)
 	}
-	for i := range m.ringPorts {
-		m.ringPorts[i].ResetStats(now)
-	}
 	m.ring.ResetStats(now)
 }
 
 // Resources calls fn for every memory-system resource (modules, then buses,
-// then local rings and ring ports if present, then the ring), for
-// utilization reports.
+// then local rings if present, then the ring), for utilization reports.
 func (m *Memory) Resources(fn func(*Resource)) {
 	for i := range m.modules {
 		fn(&m.modules[i])
@@ -478,9 +439,6 @@ func (m *Memory) Resources(fn func(*Resource)) {
 	}
 	for i := range m.localRings {
 		fn(&m.localRings[i])
-	}
-	for i := range m.ringPorts {
-		fn(&m.ringPorts[i])
 	}
 	fn(&m.ring)
 }
@@ -513,11 +471,6 @@ func (m *Memory) access(p *Proc, a Addr, kind accessKind, operand, expect uint64
 		// A replicated region serves reads from the requester's nearest
 		// copy; the primary competes on equal terms.
 		dst = m.nearestCopy(src, dst, reps)
-	}
-	if m.par != nil && m.stationOf(src) != m.stationOf(dst) {
-		// Parallel mode: the access leaves this station's logical process
-		// and travels as a timestamped inter-LP message (see parallel.go).
-		return m.par.remoteAccess(p, a, kind, operand, expect)
 	}
 	now := p.eng.Now()
 
@@ -633,15 +586,14 @@ func (m *Memory) nearestCopy(src, primary int, reps []int) int {
 func (m *Memory) watch(a Addr, p *Proc) {
 	p.watching = true
 	p.watchNext = nil
-	shard := m.watchShard(a)
-	l := shard[a]
+	l := m.watchers[a]
 	if l.tail == nil {
 		l.head, l.tail = p, p
 	} else {
 		l.tail.watchNext = p
 		l.tail = p
 	}
-	shard[a] = l
+	m.watchers[a] = l
 }
 
 // unwatch removes p from the watcher list of a. A write-wake already
@@ -652,8 +604,7 @@ func (m *Memory) unwatch(a Addr, p *Proc) {
 		return
 	}
 	p.watching = false
-	shard := m.watchShard(a)
-	l := shard[a]
+	l := m.watchers[a]
 	var prev *Proc
 	for q := l.head; q != nil; prev, q = q, q.watchNext {
 		if q != p {
@@ -671,19 +622,18 @@ func (m *Memory) unwatch(a Addr, p *Proc) {
 		break
 	}
 	if l.head == nil {
-		delete(shard, a)
+		delete(m.watchers, a)
 	} else {
-		shard[a] = l
+		m.watchers[a] = l
 	}
 }
 
 func (m *Memory) wakeWatchers(a Addr, at Time) {
-	shard := m.watchShard(a)
-	l, ok := shard[a]
+	l, ok := m.watchers[a]
 	if !ok {
 		return
 	}
-	delete(shard, a)
+	delete(m.watchers, a)
 	for p := l.head; p != nil; {
 		next := p.watchNext
 		p.watchNext = nil

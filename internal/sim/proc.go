@@ -61,15 +61,6 @@ type Proc struct {
 	watchNext *Proc
 	watching  bool
 
-	// remoteWait marks the processor parked awaiting the response half of a
-	// cross-station access in parallel mode; remoteVal/remoteOK carry the
-	// response payload (see parSim.remoteAccess). While remoteWait is set,
-	// an arriving IRQ queues without unparking — waking mid-access would
-	// lose the response.
-	remoteWait bool
-	remoteVal  uint64
-	remoteOK   bool
-
 	irqEnabled bool
 	inISR      bool
 	pendingIRQ []IRQHandler
@@ -276,21 +267,6 @@ func (p *Proc) CAS(a Addr, expect, v uint64) (uint64, bool) {
 // simulator events, which is timing-equivalent for local spinning (the
 // point of distributed locks is precisely that this traffic stays local).
 func (p *Proc) WaitLocal(a Addr, pred func(uint64) bool) uint64 {
-	if p.mach.par != nil && p.mem.StationOf(a.Module()) != p.Station() {
-		// Parallel mode cannot watch a cross-station word (the watch list
-		// lives in the word's logical process), so spin with charged remote
-		// loads. Remote spinning is exactly the traffic the paper's
-		// distributed locks are designed to avoid, so well-behaved kernel
-		// code hits this path rarely; each probe costs a full ring round
-		// trip, which also keeps the spin from flooding the interconnect.
-		for {
-			v := p.Load(a)
-			p.counters.Branch++
-			if pred(v) {
-				return v
-			}
-		}
-	}
 	for {
 		v := p.Load(a)
 		p.counters.Branch++ // the spin-test branch
@@ -341,9 +317,7 @@ func (p *Proc) postIRQ(h IRQHandler) {
 			Start: now, End: now, Src: -1, Dst: -1})
 	}
 	p.pendingIRQ = append(p.pendingIRQ, h)
-	if !p.remoteWait {
-		p.unparkAt(p.eng.Now())
-	}
+	p.unparkAt(p.eng.Now())
 }
 
 // checkIRQ delivers pending interrupts at an instruction boundary.
@@ -376,21 +350,6 @@ func (p *Proc) Park() {
 // any proc or engine context.
 func (p *Proc) Unpark() {
 	p.unparkAt(p.eng.Now())
-}
-
-// SendIPI delivers an inter-processor interrupt from this processor to
-// processor `to` after the machine's IPI latency, like Machine.SendIPI but
-// callable in parallel mode: a cross-station IPI travels as an inter-LP
-// message (Lat.IPI is validated to cover the lookahead window).
-func (p *Proc) SendIPI(to int, h IRQHandler) {
-	m := p.mach
-	target := m.Procs[to]
-	at := p.eng.Now() + m.cfg.Lat.IPI
-	if m.par == nil || p.Station() == target.Station() {
-		p.eng.At(at, func() { target.postIRQ(h) })
-		return
-	}
-	m.par.post(p.Station(), target.Station(), at, func() { target.postIRQ(h) })
 }
 
 // WaitIRQ idles the processor until at least one interrupt arrives, then

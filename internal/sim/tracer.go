@@ -211,14 +211,8 @@ func (e *Engine) Emit(ev TraceEvent) {
 	}
 }
 
-// SetTracer installs the tracer on the machine's engine. The parallel
-// engine does not support tracing (a sink would be written from every
-// worker goroutine); rerun a configuration of interest with Workers == 0 to
-// trace it.
+// SetTracer installs the tracer on the machine's engine.
 func (m *Machine) SetTracer(t Tracer) {
-	if m.par != nil && t != nil {
-		panic("sim: tracing is not supported in parallel mode")
-	}
 	m.Eng.SetTracer(t)
 }
 

@@ -7,19 +7,15 @@ import (
 	"hurricane/internal/sim"
 )
 
-// TimedStressConfig parameterizes the time-gated lock stress loop — the
-// variant of the Figure 5 loop the parallel engine can run. The classic
-// loop is round-gated and phase-aligned with a Barrier, but the Barrier
-// parks and unparks processors across stations from plain Go code, which
-// the logical-process engine forbids (cross-LP state must travel as
-// timestamped messages). Here every processor instead runs until a
-// simulated-time deadline and measurement is gated by simulated time
-// alone, so the loop needs no cross-processor coordination at all: the
-// same config produces byte-identical results on the serial engine and on
-// the parallel engine at any worker count.
+// TimedStressConfig parameterizes the time-gated lock stress loop, a
+// variant of the Figure 5 loop. The classic loop is round-gated and
+// phase-aligned with a Barrier, so its cost grows with the slowest lock's
+// rounds. Here every processor instead runs until a simulated-time
+// deadline and measurement is gated by simulated time alone: every lock
+// gets the same window, and a lock that collapses under dense contention
+// shows as few rounds rather than as a run that never ends.
 type TimedStressConfig struct {
-	// Machine is the hardware configuration, including the seed and (for
-	// the parallel engine) the worker count.
+	// Machine is the hardware configuration, including the seed.
 	Machine sim.Config
 	// Kind selects the lock algorithm; ignored when MakeLock is set.
 	Kind locks.Kind
@@ -35,15 +31,6 @@ type TimedStressConfig struct {
 	Spread bool
 	// Home is the lock's (and protected data's) home module.
 	Home int
-	// PerStation, when set, gives every station its own lock and data —
-	// homed at the station's first processor-memory module — and each
-	// participant contends its own station's lock; Home is ignored. This is
-	// the partitioned-kernel shape (per-module run queues, per-station
-	// allocators): simulated load on every logical process at once, which
-	// is what the parallel-speedup experiment has to offer the engine. A
-	// single global lock serializes the simulated machine no matter how
-	// many host workers run it.
-	PerStation bool
 	// Hold is the critical-section hold time; Think an optional per-round
 	// post-release think, jittered uniformly in [0, Think) per processor.
 	Hold, Think sim.Duration
@@ -53,11 +40,9 @@ type TimedStressConfig struct {
 	Warmup, Window sim.Duration
 }
 
-// timedSlot is one processor's private counters, padded to a cache line so
-// processors on different logical processes never share a line.
+// timedSlot is one processor's private counters.
 type timedSlot struct {
 	rounds, handoffs, localHandoffs, waitCycles uint64
-	_                                           [4]uint64
 }
 
 // TimedStressResult summarizes a timed stress run.
@@ -79,7 +64,7 @@ type TimedStressResult struct {
 }
 
 // Fingerprint renders everything the run publishes, per processor, so two
-// runs can be compared byte for byte — the worker-count-equivalence gate.
+// runs can be compared byte for byte.
 func (r *TimedStressResult) Fingerprint() string {
 	s := fmt.Sprintf("rounds=%d handoffs=%d local=%d wait=%.4f thr=%.4f elapsed=%d\n",
 		r.Rounds, r.Handoffs, r.LocalHandoffs, r.WaitUS, r.RoundsPerMS, r.Elapsed)
@@ -90,8 +75,7 @@ func (r *TimedStressResult) Fingerprint() string {
 }
 
 // TimedStressRun executes the time-gated stress loop and aggregates the
-// per-processor slots after the machine has stopped (the only moment the
-// slots may be read together).
+// per-processor slots after the machine has stopped.
 func TimedStressRun(cfg TimedStressConfig) *TimedStressResult {
 	m := sim.NewMachine(cfg.Machine)
 	mcfg := m.Config()
@@ -100,26 +84,13 @@ func TimedStressRun(cfg TimedStressConfig) *TimedStressResult {
 		mk = func(m *sim.Machine, home int) locks.Lock { return locks.New(m, cfg.Kind, home) }
 	}
 	pps := mcfg.ProcsPerStation
-	nlocks := 1
-	if cfg.PerStation {
-		nlocks = mcfg.Stations
-	}
 	// The protected data lives with the lock, as kernel data does; the
 	// owner word carries the previous holder's identity in-band (through
 	// simulated memory, under the lock), which is how hand-off locality is
-	// tracked without any cross-LP Go state.
-	ls := make([]locks.Lock, nlocks)
-	datas := make([]sim.Addr, nlocks)
-	owners := make([]sim.Addr, nlocks)
-	for s := range ls {
-		home := cfg.Home
-		if cfg.PerStation {
-			home = s * pps
-		}
-		ls[s] = mk(m, home)
-		datas[s] = m.Alloc(home, 8)
-		owners[s] = m.Alloc(home, 1)
-	}
+	// tracked.
+	l := mk(m, cfg.Home)
+	data := m.Alloc(cfg.Home, 8)
+	owner := m.Alloc(cfg.Home, 1)
 	deadline := sim.Time(cfg.Warmup + cfg.Window)
 
 	slots := make([]timedSlot, cfg.Procs)
@@ -129,11 +100,6 @@ func TimedStressRun(cfg TimedStressConfig) *TimedStressResult {
 			id = (w%mcfg.Stations)*pps + w/mcfg.Stations
 		}
 		slot := &slots[w]
-		li := 0
-		if cfg.PerStation {
-			li = id / pps
-		}
-		l, data, owner := ls[li], datas[li], owners[li]
 		m.Go(id, func(p *sim.Proc) {
 			for {
 				t0 := p.Now()
