@@ -16,22 +16,58 @@
 // kernel locks, the placement daemon, and the replication policy for
 // read-mostly kernel data, all sampled by one shared daemon cadence
 // (internal/autonomic.Plane). -migrate remains the single-policy alias.
+// Both modes take the "fault" row of placement's constants table — the
+// constants of exp.PlacementOnline, whose fault workload this is.
+//
+// Flags are checked before the run (validate); a bad value exits 2.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"hurricane/internal/autonomic"
 	"hurricane/internal/core"
 	"hurricane/internal/locks"
 	"hurricane/internal/sim"
 	"hurricane/internal/trace"
 	"hurricane/internal/trace/placement"
-	"hurricane/internal/tune"
 	"hurricane/internal/workload"
 )
+
+var kinds = map[string]locks.Kind{
+	"mcs": locks.KindMCS, "h2mcs": locks.KindH2MCS,
+	"spin": locks.KindSpin, "spin2ms": locks.KindSpin2ms,
+	"tuned": locks.KindTuned,
+}
+
+// options are the flags validate checks.
+type options struct {
+	size, procs, pages, rounds int
+	lock, workload             string
+}
+
+// validate rejects flag values the run cannot honour on a machine of
+// nprocs processors.
+func validate(o options, nprocs int) error {
+	switch {
+	case o.size < 1 || nprocs%o.size != 0:
+		return fmt.Errorf("size must divide the %d processors (got %d)", nprocs, o.size)
+	case o.procs < 1 || o.procs > nprocs:
+		return fmt.Errorf("procs must be 1-%d (got %d)", nprocs, o.procs)
+	case o.pages < 1:
+		return fmt.Errorf("pages must be at least 1 (got %d)", o.pages)
+	case o.rounds < 1:
+		return fmt.Errorf("rounds must be at least 1 (got %d)", o.rounds)
+	case o.workload != "independent" && o.workload != "shared":
+		return fmt.Errorf("unknown workload %q", o.workload)
+	}
+	if _, ok := kinds[o.lock]; !ok {
+		return fmt.Errorf("unknown lock %q", o.lock)
+	}
+	return nil
+}
 
 func main() {
 	size := flag.Int("size", 4, "processors per cluster (must divide 16)")
@@ -46,50 +82,43 @@ func main() {
 	auto := flag.Bool("autonomic", false, "run the full kernel autonomics plane: tuned locks + migration + replication under one cadence")
 	flag.Parse()
 
-	kinds := map[string]locks.Kind{
-		"mcs": locks.KindMCS, "h2mcs": locks.KindH2MCS,
-		"spin": locks.KindSpin, "spin2ms": locks.KindSpin2ms,
-		"tuned": locks.KindTuned,
-	}
 	if *auto {
 		*migrate = true
 		*kind = "tuned"
 	}
-	lk, ok := kinds[*kind]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown lock %q\n", *kind)
+	mcfg := sim.Config{Seed: *seed}
+	full := mcfg.WithDefaults()
+	if err := validate(options{*size, *procs, *pages, *rounds, *kind, *wl}, full.Stations*full.ProcsPerStation); err != nil {
+		fmt.Fprintf(os.Stderr, "clustersim: %v\n", err)
 		os.Exit(2)
 	}
+	lk := kinds[*kind]
 	var tracer *trace.Chrome
-	var agg *trace.Aggregate
 	var t sim.Tracer
 	if *tracePath != "" {
 		tracer = trace.NewChrome()
 		t = tracer
 	}
+	var st *placement.Stack
 	if *migrate {
 		// The daemon reads the live aggregate, so it must be in the sink
 		// chain; a Chrome trace, if also requested, rides the same stream.
-		agg = trace.NewAggregate(16)
-		if tracer != nil {
-			t = trace.NewPipeline(tracer, agg)
-		} else {
-			t = agg
-		}
+		st = placement.NewStack(mcfg, placement.RowFault,
+			placement.Policies{Tune: *auto, Migrate: true, Replicate: *auto})
+		t = st.Tracer(tracer)
 	}
 	cc := core.Config{
-		Machine:     sim.Config{Seed: *seed},
+		Machine:     mcfg,
 		ClusterSize: *size,
 		LockKind:    lk,
 		Tracer:      t,
 		Migratable:  *migrate,
 	}
-	var plane *autonomic.Plane
 	if *auto {
 		// One cadence for every policy; the tune samplers register on the
 		// plane during kernel construction, the data policies after.
-		plane = autonomic.NewPlane(sim.Micros(25))
-		cc.TuneParams = &tune.Params{Plane: plane}
+		tp := st.TuneParams()
+		cc.TuneParams = &tp
 	}
 	sys := core.NewSystem(cc)
 	if tracer != nil {
@@ -100,37 +129,15 @@ func main() {
 			sys.K.VM.SetMMLock(c, locks.NewStats(sys.M, sys.K.VM.MMLock(c)))
 		}
 	}
-	var daemon *placement.Daemon
-	var rep *autonomic.Replicator
-	if *migrate {
-		topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
-		dp := placement.DaemonParams{Period: sim.Micros(25), Decay: 0.9, MinWeight: 0.25, Confirm: 3}
-		if plane != nil {
-			rep = autonomic.NewReplicator(sys.M, topo, autonomic.DefaultCosts(),
-				autonomic.ReplicatorParams{Decay: 0.9, MinWeight: 0.25, Confirm: 3},
-				placement.ReplicateKernel(sys.K, agg))
-			plane.Add(rep)
-			dp.Yield = rep.Claimed
-		}
-		daemon = placement.NewDaemon(sys.M, agg, placement.Topo(topo),
-			placement.DefaultCosts(), dp, placement.ManageKernel(sys.K))
-		if plane != nil {
-			plane.Add(daemon)
-			plane.Start(sys.M.Eng)
-		} else {
-			daemon.Start()
-		}
+	if st != nil {
+		st.AttachKernel(sys.M, sys.K)
 	}
 
 	var res workload.FaultResult
-	switch *wl {
-	case "independent":
-		res = workload.IndependentFaults(sys, *procs, *pages, *rounds)
-	case "shared":
+	if *wl == "shared" {
 		res = workload.SharedFaults(sys, *procs, *pages, *rounds)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
-		os.Exit(2)
+	} else {
+		res = workload.IndependentFaults(sys, *procs, *pages, *rounds)
 	}
 
 	d := res.Dist
@@ -144,15 +151,17 @@ func main() {
 	fmt.Printf("  RPC calls:               %d (retried %d)\n", sys.K.RPC.Calls, sys.K.RPC.Retries)
 	fmt.Printf("  IPI work deferred by the logical mask: %d\n", sys.K.Gate.Deferred)
 	fmt.Printf("  elapsed: %v simulated\n", res.Elapsed)
-	if daemon != nil {
+	if st != nil {
 		fmt.Printf("  migrations: %d (%d words copied, %.1fus charged)\n",
 			res.Stats.Migrations, res.Stats.MigratedWords,
 			float64(res.Stats.MigrationCycles)/sim.CyclesPerMicrosecond)
-		fmt.Print("  " + daemon.Report())
+		for _, line := range strings.SplitAfter(st.Report(), "\n") {
+			if line != "" {
+				fmt.Print("  " + line)
+			}
+		}
 	}
-	if plane != nil {
-		fmt.Print("  " + plane.Report())
-		fmt.Print("  " + rep.Report())
+	if *auto {
 		var switches uint64
 		for _, ctl := range sys.K.Controllers() {
 			switches += ctl.Switches()

@@ -35,24 +35,35 @@
 //
 //	lockstat -run server -autonomic -ms 20
 //
+// The plane's constants come from placement's table, from the row of the
+// experiment each mode illustrates: -run server -autonomic takes the
+// "server" row (exp.AutonomicSweep's), while the stress path and -run
+// server -migrate take the "defaults" row (exp.ServerSweep's Tuned+mig).
+// The stress path keeps its own one-region slot and runs every actuation
+// on processor 0, because only -procs processors run.
+//
 // With -model (implies -tune), the controller runs in model-driven mode:
 // instead of walking the backoff cap and escalating through the mode
 // chain reactively, it asks the analytic performance model
 // (internal/model) for the predicted-best shape and cap and jumps
-// straight there. Combined with -autonomic, the model also prices the
-// replication and migration rent-vs-buy decisions through the same hook.
+// straight there. The model drives the lock controllers only; the
+// placement and replication policies price their copies with
+// autonomic.Worthwhile either way.
 //
 //	lockstat -model -procs 16 -hold 25           # model-driven controller
-//	lockstat -run server -autonomic -model       # model prices the whole plane
+//	lockstat -run server -autonomic -model       # model-driven tuner on the full plane
+//
+// Flags are checked before the run (validate); a bad value exits 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
-	"hurricane/internal/autonomic"
 	"hurricane/internal/core"
+	"hurricane/internal/exp"
 	"hurricane/internal/locks"
 	"hurricane/internal/machine"
 	"hurricane/internal/model"
@@ -78,15 +89,51 @@ var kinds = map[string]locks.Kind{
 
 type machineSpec struct {
 	cfg         func(seed uint64) sim.Config
-	maxProcs    int
-	topo        placement.Topo
 	clusterSize int
 	serverGapUS float64
 }
 
 var machines = map[string]machineSpec{
-	"hector16":    {machine.Hector16, 16, placement.Topo{Stations: 4, ProcsPerStation: 4}, 4, 90},
-	"numachine64": {machine.NUMAchine64, 64, placement.Topo{Stations: 8, ProcsPerStation: 8}, 8, 180},
+	"hector16":    {machine.Hector16, 4, 90},
+	"numachine64": {machine.NUMAchine64, 8, 180},
+}
+
+// options are the flags validate checks.
+type options struct {
+	lock, machine, run                     string
+	procs, home, rounds, warmup, horizonMS int
+	holdUS                                 float64
+}
+
+// validate rejects flag values the run cannot honour. warmup -1 stands for
+// the rounds/4 default.
+func validate(o options) error {
+	if _, ok := kinds[o.lock]; !ok {
+		return fmt.Errorf("unknown lock %q; choose one of mcs, h1mcs, h2mcs, spin, spin2ms, clh, adaptive, tuned, cohort, cna", o.lock)
+	}
+	mc, ok := machines[o.machine]
+	if !ok {
+		return fmt.Errorf("unknown machine %q; choose hector16 or numachine64", o.machine)
+	}
+	cfg := mc.cfg(0)
+	n := cfg.Stations * cfg.ProcsPerStation
+	switch {
+	case o.run != "stress" && o.run != "server":
+		return fmt.Errorf("unknown -run %q; choose stress or server", o.run)
+	case o.procs < 1 || o.procs > n:
+		return fmt.Errorf("procs must be 1-%d (%s)", n, o.machine)
+	case o.home < 0 || o.home >= n:
+		return fmt.Errorf("home must be a module 0-%d (%s)", n-1, o.machine)
+	case math.IsNaN(o.holdUS) || math.IsInf(o.holdUS, 0) || o.holdUS < 0:
+		return fmt.Errorf("hold must be a finite non-negative number of microseconds (got %g)", o.holdUS)
+	case o.rounds < 1:
+		return fmt.Errorf("rounds must be at least 1 (got %d)", o.rounds)
+	case o.warmup < -1 || o.warmup >= o.rounds:
+		return fmt.Errorf("warmup must be -1 (rounds/4) or 0-%d (got %d)", o.rounds-1, o.warmup)
+	case o.horizonMS < 1:
+		return fmt.Errorf("ms must be at least 1 (got %d)", o.horizonMS)
+	}
+	return nil
 }
 
 func main() {
@@ -103,7 +150,7 @@ func main() {
 	home := flag.Int("home", 0, "home module of the lock and its protected data")
 	migrate := flag.Bool("migrate", false, "protected data in a migratable region managed by the online placement daemon")
 	auto := flag.Bool("autonomic", false, "full autonomics plane: tuned lock + migration + replication under one cadence")
-	useModel := flag.Bool("model", false, "model-driven tuner mode (implies -tune); with -autonomic the model also prices placement decisions")
+	useModel := flag.Bool("model", false, "model-driven tuner mode (implies -tune)")
 	run := flag.String("run", "stress", "stress | server (open-loop multi-tenant server, tail-latency summary)")
 	horizonMS := flag.Int("ms", 20, "server mode: arrival horizon in simulated milliseconds")
 	flag.Parse()
@@ -118,32 +165,19 @@ func main() {
 	if *tuned {
 		*lock = "tuned"
 	}
-	kind, ok := kinds[*lock]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown lock %q; choose one of mcs, h1mcs, h2mcs, spin, spin2ms, clh, adaptive, tuned, cohort, cna\n", *lock)
+	err := validate(options{lock: *lock, machine: *machineName, run: *run, procs: *procs, home: *home,
+		rounds: *rounds, warmup: *warmup, horizonMS: *horizonMS, holdUS: *holdUS})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	mc, ok := machines[*machineName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown machine %q; choose hector16 or numachine64\n", *machineName)
-		os.Exit(2)
-	}
-	if *procs < 1 || *procs > mc.maxProcs {
-		fmt.Fprintf(os.Stderr, "procs must be 1-%d (%s)\n", mc.maxProcs, *machineName)
-		os.Exit(2)
-	}
+	kind, mc := kinds[*lock], machines[*machineName]
 	if *warmup < 0 {
 		*warmup = *rounds / 4
 	}
-
-	switch *run {
-	case "server":
+	if *run == "server" {
 		runServer(*machineName, mc, kind, *seed, *horizonMS, *migrate, *auto, *useModel)
 		return
-	case "stress":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -run %q; choose stress or server\n", *run)
-		os.Exit(2)
 	}
 
 	us, counts := workload.UncontendedPair(*seed, kind)
@@ -151,29 +185,26 @@ func main() {
 		kind, us, counts.Atomic, counts.Mem, counts.Reg, counts.Branch)
 
 	var tracer *trace.Chrome
-	var agg *trace.Aggregate
 	var t sim.Tracer
 	if *tracePath != "" {
 		tracer = trace.NewChrome()
 		t = tracer
 	}
+	mcfg := mc.cfg(*seed)
+	var st *placement.Stack
 	if *migrate {
 		// The daemon's control signal is the live aggregate; fan the event
 		// stream out if a Chrome trace was also requested.
-		agg = trace.NewAggregate(mc.topo.Modules())
-		if tracer != nil {
-			t = trace.NewPipeline(tracer, agg)
-		} else {
-			t = agg
-		}
+		st = placement.NewStack(mcfg, placement.RowDefaults,
+			placement.Policies{Tune: *auto, Migrate: true, Replicate: *auto})
+		t = st.Tracer(tracer)
 	}
 
 	// Build through StressConfig so the machine is selectable and, for the
 	// tuned lock, the controller stays reachable for the decision log.
 	var tl *locks.Tuned
-	var daemon *placement.Daemon
 	cfg := workload.StressConfig{
-		Machine: mc.cfg(*seed),
+		Machine: mcfg,
 		Kind:    kind,
 		Procs:   *procs,
 		Rounds:  *rounds,
@@ -183,29 +214,14 @@ func main() {
 		Tracer:  t,
 		Region:  *migrate,
 	}
-	var plane *autonomic.Plane
-	var rep *autonomic.Replicator
-	if *auto {
-		plane = autonomic.NewPlane(placement.DefaultDaemonParams().Period)
-	}
-	// Model-driven mode: one advisor (and one pricing hook) built from the
-	// same machine config the run uses. The calibration is unfitted here —
-	// lockstat is a one-shot microscope; exp.ModelSweep runs the fitted
-	// path — so the pricing bar matches Worthwhile and only the controller
-	// behaviour changes.
-	var adv *model.Advisor
-	var worth func(benefit float64, horizon int, cost float64) bool
-	if *useModel {
-		adv = model.NewAdvisor(model.FromConfig(cfg.Machine), model.Calibration{})
-		worth = model.Calibration{}.Worth()
-	}
 	if kind == locks.KindTuned {
+		tp := tuneParams(st, mcfg, *useModel)
 		cfg.MakeLock = func(m *sim.Machine, home int) locks.Lock {
-			tl = locks.NewTuned(m, home, tune.Params{Plane: plane, Model: adv})
+			tl = locks.NewTuned(m, home, tp)
 			return tl
 		}
 	}
-	if *migrate {
+	if st != nil {
 		cfg.Attach = func(r *workload.LockStressObserved) {
 			// The stress run only starts -procs processors, so the default
 			// executor (the processor co-located with the data's home) may
@@ -213,45 +229,7 @@ func main() {
 			// The copy itself needs no extra lock here: the region's words
 			// are re-pointed atomically and the burst is serialized against
 			// in-flight accesses by the module/ring resource queues.
-			params := placement.DefaultDaemonParams()
-			params.Exec = func(int) int { return 0 }
-			params.Worth = worth
-			region := r.DataRegion
-			if plane != nil {
-				rep = autonomic.NewReplicator(r.M, autonomic.Topo(mc.topo),
-					autonomic.CostsFromLatency(r.M.Lat()),
-					autonomic.ReplicatorParams{Exec: func(int) int { return 0 }, Worth: worth},
-					[]autonomic.ReplicaSlot{{
-						Name:   "lock data",
-						Region: region,
-						Reads:  func() []uint64 { return agg.RegionReads[region] },
-						Writes: func() []uint64 { return agg.RegionWrites[region] },
-						Replicate: func(p *sim.Proc, to int) {
-							r.M.Mem.ReplicateRegion(p, region, to)
-						},
-						Collapse: func(p *sim.Proc) { r.M.Mem.CollapseRegion(region) },
-					}})
-				plane.Add(rep)
-				params.Yield = rep.Claimed
-			}
-			daemon = placement.NewDaemon(r.M, agg, mc.topo,
-				placement.CostsFromLatency(r.M.Lat()), params,
-				[]placement.DaemonSlot{{
-					Name:   "lock data",
-					Region: region,
-					Migrate: func(p *sim.Proc, to int) {
-						if r.M.Mem.Replicated(region) {
-							r.M.Mem.CollapseRegion(region)
-						}
-						r.M.Mem.MigrateRegion(p, region, to)
-					},
-				}})
-			if plane != nil {
-				plane.Add(daemon)
-				plane.Start(r.M.Eng)
-			} else {
-				daemon.Start()
-			}
+			st.AttachRegion(r.M, func(int) int { return 0 }, "lock data", r.DataRegion)
 		}
 	}
 	r := workload.LockStressRun(cfg)
@@ -270,13 +248,9 @@ func main() {
 		fmt.Print(tl.Controller().Report())
 	}
 
-	if daemon != nil {
+	if st != nil {
 		fmt.Println()
-		if plane != nil {
-			fmt.Print(plane.Report())
-			fmt.Print(rep.Report())
-		}
-		fmt.Print(daemon.Report())
+		fmt.Print(st.Report())
 		fmt.Printf("data region home: module %d", r.M.Mem.Home(r.DataRegion))
 		if reps := r.M.Mem.Replicas(r.DataRegion); len(reps) > 0 {
 			fmt.Printf(", replicas on %v", reps)
@@ -321,6 +295,33 @@ func main() {
 	}
 }
 
+// tuneParams returns the tuned locks' parameters: on st's plane when it
+// runs the Tune policy, and model-driven with -model. The advisor is built
+// from the machine config the run uses, with an unfitted calibration:
+// lockstat is a one-shot microscope, exp.ModelSweep runs the fitted path.
+func tuneParams(st *placement.Stack, cfg sim.Config, useModel bool) tune.Params {
+	var tp tune.Params
+	if st != nil {
+		tp = st.TuneParams()
+	}
+	if useModel {
+		tp.Model = model.NewAdvisor(model.FromConfig(cfg), model.Calibration{})
+	}
+	return tp
+}
+
+// serverStack builds the server path's autonomics stack: with -autonomic
+// the full plane on the "server" row, as exp.AutonomicSweep's combined row
+// runs it; with -migrate alone the daemon on the "defaults" row, as
+// exp.ServerSweep's Tuned+mig row runs it.
+func serverStack(cfg sim.Config, auto bool) *placement.Stack {
+	if auto {
+		return placement.NewStack(cfg, placement.RowServer,
+			placement.Policies{Tune: true, Migrate: true, Replicate: true})
+	}
+	return placement.NewStack(cfg, placement.RowDefaults, placement.Policies{Migrate: true})
+}
+
 // runServer executes the open-loop multi-tenant server scenario (the
 // exp.ServerSweep workload at one point) and prints the sojourn-time tail,
 // the per-tenant breakdown, and — for the tuned lock or with -migrate —
@@ -329,83 +330,33 @@ func main() {
 // of four write-hot and sharded off its data's home cluster) and the full
 // plane — tuned locks, migration, replication — manages the run.
 func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizonMS int, migrate, auto, useModel bool) {
+	mcfg := mc.cfg(seed)
 	cfg := workload.ServerConfig{
-		Machine:     mc.cfg(seed),
+		Machine:     mcfg,
 		ClusterSize: mc.clusterSize,
 		LockKind:    kind,
-		Tenants:     2 * mc.topo.Stations,
+		Tenants:     2 * mcfg.Stations,
 		ZipfS:       1.0,
-		Arrivals: workload.ArrivalSpec{
-			MeanGap:     sim.Micros(mc.serverGapUS),
-			Horizon:     sim.Micros(float64(horizonMS) * 1000),
-			BurstFactor: 3,
-			OnMean:      sim.Micros(400),
-			OffMean:     sim.Micros(800),
-			RampFrom:    0.8, RampTo: 1.2,
-			FlashAt: 0.55, FlashFor: 0.15, FlashFactor: 2.5,
-		},
-		Warmup:     sim.Micros(2000),
-		ChurnEvery: 8,
-	}
-	var daemon *placement.Daemon
-	var rep *autonomic.Replicator
-	var plane *autonomic.Plane
-	var adv *model.Advisor
-	var worth func(benefit float64, horizon int, cost float64) bool
-	if useModel {
-		adv = model.NewAdvisor(model.FromConfig(cfg.Machine), model.Calibration{})
-		worth = model.Calibration{}.Worth()
+		Arrivals:    exp.ServerArrivals(sim.Micros(mc.serverGapUS), sim.Micros(float64(horizonMS)*1000)),
+		Warmup:      sim.Micros(2000),
+		ChurnEvery:  8,
 	}
 	if auto {
 		// The AutonomicSweep workload shape: per-tenant migratable data,
 		// three of four tenants read-mostly (replication's case), every
 		// fourth write-hot and sharded onto the wrong cluster (migration's).
-		cfg.TenantDataWords = 128
-		cfg.TenantTouch = 128
-		cfg.TenantWriteFrac = func(rank int) float64 {
-			if rank%4 == 0 {
-				return 0.75
-			}
-			return 0.02
-		}
-		cfg.TenantAffinity = func(rank int) int {
-			if rank%4 == 0 {
-				return (rank/4 + 1) % mc.topo.Stations
-			}
-			return -1
-		}
-		plane = autonomic.NewPlane(sim.Micros(100))
+		exp.AutonomicTenants(&cfg, mcfg.Stations)
+	}
+	var st *placement.Stack
+	if migrate {
+		st = serverStack(mcfg, auto)
+		cfg.Migratable = true
+		cfg.Tracer = st.Agg
+		cfg.Attach = func(sys *core.System) { st.AttachKernel(sys.M, sys.K) }
 	}
 	if auto || useModel {
-		cfg.TuneParams = &tune.Params{Plane: plane, Model: adv}
-	}
-	if migrate {
-		cfg.Migratable = true
-		agg := trace.NewAggregate(mc.topo.Stations * mc.topo.ProcsPerStation)
-		cfg.Tracer = agg
-		cfg.Attach = func(sys *core.System) {
-			dp := placement.DefaultDaemonParams()
-			dp.Worth = worth
-			if plane != nil {
-				rep = autonomic.NewReplicator(sys.M, autonomic.Topo(mc.topo),
-					autonomic.CostsFromLatency(sys.M.Lat()),
-					autonomic.ReplicatorParams{Decay: 0.95, MinWeight: 4, Confirm: 3, Payback: 48, Worth: worth},
-					placement.ReplicateKernel(sys.K, agg))
-				plane.Add(rep)
-				dp.Yield = rep.Claimed
-				dp.Decay, dp.MinWeight, dp.Confirm = 0.9, 2, 6
-				dp.Improve, dp.Budget = 0.25, 2
-			}
-			daemon = placement.NewDaemon(sys.M, agg, mc.topo,
-				placement.CostsFromLatency(sys.M.Lat()), dp,
-				placement.ManageKernel(sys.K))
-			if plane != nil {
-				plane.Add(daemon)
-				plane.Start(sys.M.Eng)
-			} else {
-				daemon.Start()
-			}
-		}
+		tp := tuneParams(st, mcfg, useModel)
+		cfg.TuneParams = &tp
 	}
 	r := workload.ServerRun(cfg)
 	fmt.Printf("%s %s: open-loop server, %dms horizon + drain (2ms warm-up), mean gap %gus\n",
@@ -427,13 +378,8 @@ func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizo
 			fmt.Printf("\nkernel lock controller %d:\n%s", i, ctl.Report())
 		}
 	}
-	if plane != nil {
+	if st != nil {
 		fmt.Println()
-		fmt.Print(plane.Report())
-		fmt.Print(rep.Report())
-	}
-	if daemon != nil {
-		fmt.Println()
-		fmt.Print(daemon.Report())
+		fmt.Print(st.Report())
 	}
 }

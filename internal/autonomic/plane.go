@@ -69,9 +69,6 @@ func (pl *Plane) Start(eng *sim.Engine) {
 // Ticks reports how many sampling windows the plane has dispatched.
 func (pl *Plane) Ticks() uint64 { return pl.ticks }
 
-// Policies returns the registered policies in phase order.
-func (pl *Plane) Policies() []Policy { return pl.policies }
-
 // Report renders the plane's schedule as an indented block.
 func (pl *Plane) Report() string {
 	var b strings.Builder

@@ -36,9 +36,6 @@ type ReplicaSlot struct {
 // pays an update per replica), a write-hot one must collapse back to a
 // single copy that migration alone may place.
 type ReplicatorParams struct {
-	// Period is the sampling cadence when self-scheduled via Start
-	// (default 100us); under a Plane the plane's cadence rules.
-	Period sim.Duration
 	// Decay is the per-window EWMA retention of the smoothed read/write
 	// vectors (default 0.75 — the shared controller horizon).
 	Decay float64
@@ -60,7 +57,7 @@ type ReplicatorParams struct {
 	// penalty, must repay the copy cost (region words x ring weight).
 	Payback int
 	// Cooldown is the minimum time between two actions on the same slot
-	// (default 8x Period).
+	// (default 800us, eight windows of the default 100us plane).
 	Cooldown sim.Duration
 	// MaxReplicas caps the extra copies per slot beyond the primary
 	// (default Stations-1, at least 1 — one copy per station is where the
@@ -69,19 +66,9 @@ type ReplicatorParams struct {
 	// Exec picks the processor that executes an action, given the slot's
 	// primary home (default: the co-located processor).
 	Exec func(home int) int
-	// Worth, when non-nil, replaces the Worthwhile payback heuristic for
-	// the replicate decision (same signature and meaning). The analytic
-	// model supplies one via model.Calibration.Worth — the same bar with
-	// the model's fitted uncertainty as margin — so the replicator can
-	// price copies from calibrated estimates instead of the bare
-	// heuristic. Nil keeps Worthwhile; every default is unchanged.
-	Worth func(benefit float64, horizon int, cost float64) bool
 }
 
 func (p ReplicatorParams) withDefaults(stations int) ReplicatorParams {
-	if p.Period == 0 {
-		p.Period = sim.Micros(100)
-	}
 	if p.Decay == 0 {
 		p.Decay = 0.75
 	}
@@ -104,7 +91,7 @@ func (p ReplicatorParams) withDefaults(stations int) ReplicatorParams {
 		p.Payback = 64
 	}
 	if p.Cooldown == 0 {
-		p.Cooldown = 8 * p.Period
+		p.Cooldown = sim.Micros(800)
 	}
 	if p.MaxReplicas == 0 {
 		p.MaxReplicas = stations - 1
@@ -163,7 +150,7 @@ type replicaSlotState struct {
 }
 
 // NewReplicator builds the policy over machine m managing the given
-// slots. Register it on a Plane (or call Start for standalone use).
+// slots. Register it on a Plane to begin sampling.
 func NewReplicator(m *sim.Machine, topo Topo, costs Costs, params ReplicatorParams, slots []ReplicaSlot) *Replicator {
 	r := &Replicator{m: m, topo: topo, costs: costs, p: params.withDefaults(topo.Stations)}
 	n := topo.Modules()
@@ -198,9 +185,6 @@ func (r *Replicator) SlotActions(name string) int {
 	return 0
 }
 
-// Ticks reports how many sampling windows have been consumed.
-func (r *Replicator) Ticks() uint64 { return r.ticks }
-
 // Claimed reports whether the policy considers the region its jurisdiction:
 // already replicated, or carrying enough smoothed traffic to act on and not
 // write-hot. A co-scheduled migration policy passes this as its Yield hook,
@@ -228,12 +212,6 @@ func (r *Replicator) Claimed(region int) bool {
 
 // Name implements Policy.
 func (r *Replicator) Name() string { return "replicate" }
-
-// Start self-schedules the policy at its own Period (standalone use; under
-// a Plane, Add it there instead).
-func (r *Replicator) Start() {
-	r.m.Eng.Every(r.p.Period, r.Tick)
-}
 
 // Tick implements Policy: one observation window.
 func (r *Replicator) Tick(now sim.Time) {
@@ -314,11 +292,7 @@ func (r *Replicator) Tick(now sim.Time) {
 				continue
 			}
 			copyCost := float64(r.m.Mem.RegionWords(s.Region)) * r.costs.Ring
-			worth := r.p.Worth
-			if worth == nil {
-				worth = Worthwhile
-			}
-			if !worth(benefit, r.p.Payback, copyCost) {
+			if !Worthwhile(benefit, r.p.Payback, copyCost) {
 				s.streak.Clear()
 				continue
 			}

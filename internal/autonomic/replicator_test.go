@@ -11,6 +11,13 @@ import (
 
 var testTopo = autonomic.Topo{Stations: 4, ProcsPerStation: 4}
 
+// startPlane runs the policy alone on a 25us plane.
+func startPlane(m *sim.Machine, p autonomic.Policy) {
+	plane := autonomic.NewPlane(sim.Micros(25))
+	plane.Add(p)
+	plane.Start(m.Eng)
+}
+
 // regionSlot wires a raw sim region into a ReplicaSlot the way
 // placement.ReplicateKernel wires kernel slots: traffic vectors from the
 // live aggregate, actuators straight into sim memory. Migration semantics
@@ -39,12 +46,12 @@ func TestReplicatorReplicatesReadMostlyRemoteTraffic(t *testing.T) {
 
 	r := autonomic.NewReplicator(m, testTopo, autonomic.DefaultCosts(),
 		autonomic.ReplicatorParams{
-			Period:    sim.Micros(25),
 			MinWeight: 2,
+			Cooldown:  sim.Micros(200),
 			Exec:      func(int) int { return 0 }, // proc 0 runs the actuations
 		},
 		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")})
-	r.Start()
+	startPlane(m, r)
 
 	horizon := sim.Time(sim.Micros(2000))
 	var firstLoad, lastLoad sim.Time
@@ -95,12 +102,12 @@ func TestReplicatorCollapsesWriteHotSlot(t *testing.T) {
 
 	r := autonomic.NewReplicator(m, testTopo, autonomic.DefaultCosts(),
 		autonomic.ReplicatorParams{
-			Period:    sim.Micros(25),
 			MinWeight: 2,
+			Cooldown:  sim.Micros(200),
 			Exec:      func(int) int { return 0 },
 		},
 		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")})
-	r.Start()
+	startPlane(m, r)
 
 	horizon := sim.Time(sim.Micros(2000))
 	m.Go(12, func(p *sim.Proc) {
@@ -154,7 +161,6 @@ func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
 	plane := autonomic.NewPlane(sim.Micros(25))
 	rep := autonomic.NewReplicator(m, testTopo, autonomic.DefaultCosts(),
 		autonomic.ReplicatorParams{
-			Period:    sim.Micros(25),
 			MinWeight: 1,
 			Budget:    budget,
 			Cooldown:  sim.Micros(50), // deliberately permissive: let it try
@@ -162,9 +168,8 @@ func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
 		},
 		[]autonomic.ReplicaSlot{regionSlot(m, agg, region, "data")})
 	plane.Add(rep)
-	d := placement.NewDaemon(m, agg, placement.Topo(testTopo), placement.DefaultCosts(),
+	d := placement.NewDaemon(m, agg, testTopo, autonomic.DefaultCosts(),
 		placement.DaemonParams{
-			Period:    sim.Micros(25),
 			MinWeight: 1,
 			Budget:    budget,
 			Cooldown:  sim.Micros(50),

@@ -3,26 +3,24 @@ package exp
 import (
 	"fmt"
 
-	"hurricane/internal/autonomic"
 	"hurricane/internal/core"
 	"hurricane/internal/locks"
 	"hurricane/internal/machine"
 	"hurricane/internal/sim"
-	"hurricane/internal/trace"
 	"hurricane/internal/trace/placement"
-	"hurricane/internal/tune"
 	"hurricane/internal/workload"
 )
 
-// autonomicRow is one policy mix of the sweep: which policies run, and
-// whether the lock tuner's samplers share the plane's cadence.
+// autonomicRow is one policy mix of the sweep: the kernel's lock kind and
+// which policies run on the plane.
 type autonomicRow struct {
-	name      string
-	kind      locks.Kind
-	tunePlane bool // tune samplers on the shared plane (KindTuned only)
-	migrate   bool
-	replicate bool
+	name string
+	kind locks.Kind
+	pol  placement.Policies
 }
+
+// autonomicStackRow is the constants row every policy mix runs with.
+const autonomicStackRow = placement.RowServer
 
 // autonomicRows is the policy ladder: the static kernel (the paper's
 // backoff spin locks, static placement, no replication), each adaptive
@@ -31,11 +29,39 @@ type autonomicRow struct {
 // tenant data regions, the live aggregate tracer — so the rows differ only
 // in who acts on it.
 var autonomicRows = []autonomicRow{
-	{"off", locks.KindSpin, false, false, false},
-	{"tune", locks.KindTuned, false, false, false},
-	{"migrate", locks.KindSpin, false, true, false},
-	{"replicate", locks.KindSpin, false, false, true},
-	{"combined", locks.KindTuned, true, true, true},
+	{"off", locks.KindSpin, placement.Policies{}},
+	{"tune", locks.KindTuned, placement.Policies{Tune: true}},
+	{"migrate", locks.KindSpin, placement.Policies{Migrate: true}},
+	{"replicate", locks.KindSpin, placement.Policies{Replicate: true}},
+	{"combined", locks.KindTuned, placement.Policies{Tune: true, Migrate: true, Replicate: true}},
+}
+
+// AutonomicTenants gives a server config the sweep's tenant data on a
+// machine of the given stations (lockstat -run server -autonomic runs the
+// same mix). Tenant data has enough words that placement matters, and
+// enough touches per request that data latency shows in the sojourn.
+// Write-hot tenants — every fourth, rank 0 among them, so nearly half the
+// offered load — are sharded: one cluster's workers serve each, and it is
+// NOT the cluster their data and kernel objects were statically homed on.
+// The static placement got them wrong, and every touch crosses the ring
+// until the daemon re-homes the data. Read-mostly tenants are served by
+// any worker, so their data is read from every station and no single home
+// can be right — replication's case, not migration's.
+func AutonomicTenants(cfg *workload.ServerConfig, stations int) {
+	cfg.TenantDataWords = 128
+	cfg.TenantTouch = 128
+	cfg.TenantWriteFrac = func(rank int) float64 {
+		if rank%4 == 0 {
+			return 0.75 // write-hot: migrate, never replicate
+		}
+		return 0.02 // read-mostly: replicate
+	}
+	cfg.TenantAffinity = func(rank int) int {
+		if rank%4 == 0 {
+			return (rank/4 + 1) % stations
+		}
+		return -1
+	}
 }
 
 // AutonomicSweep pits the unified autonomics plane against each of its
@@ -57,7 +83,6 @@ func AutonomicSweep(seed uint64, horizonMS int) *Table {
 	}
 	horizon := sim.Micros(float64(horizonMS) * 1000)
 	warmup := sim.Micros(2000)
-	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
 
 	type cell struct {
 		res                    *workload.ServerResult
@@ -69,109 +94,37 @@ func AutonomicSweep(seed uint64, horizonMS int) *Table {
 	cells := make([]cell, len(autonomicRows))
 	RunParallel(len(autonomicRows), func(i int) {
 		row := autonomicRows[i]
-		agg := trace.NewAggregate(topo.Modules())
+		mcfg := machine.Hector16(seed)
+		st := placement.NewStack(mcfg, autonomicStackRow, row.pol)
 		cfg := workload.ServerConfig{
-			Machine:     machine.Hector16(seed),
+			Machine:     mcfg,
 			ClusterSize: 4,
 			LockKind:    row.kind,
 			Tenants:     16,
 			ZipfS:       1.0,
-			Arrivals:    serverArrivals(sim.Micros(180), horizon),
+			Arrivals:    ServerArrivals(sim.Micros(180), horizon),
 			Warmup:      warmup,
 			ChurnEvery:  8,
 			Migratable:  true,
-			Tracer:      agg,
-			// Tenant data: enough words that placement matters, enough
-			// touches per request that data latency shows in the sojourn.
-			TenantDataWords: 128,
-			TenantTouch:     128,
-			TenantWriteFrac: func(rank int) float64 {
-				if rank%4 == 0 {
-					return 0.75 // write-hot: migrate, never replicate
-				}
-				return 0.02 // read-mostly: replicate
-			},
-			// Write-hot tenants — rank 0 among them, so nearly half the
-			// offered load — are sharded: one cluster's workers serve each,
-			// and it is NOT the cluster their data and kernel objects were
-			// statically homed on. The static placement got them wrong, and
-			// every touch crosses the ring until the daemon re-homes the
-			// data. Read-mostly tenants are served by any worker, so their
-			// data is read from every station and no single home can be
-			// right — replication's case, not migration's.
-			TenantAffinity: func(rank int) int {
-				if rank%4 == 0 {
-					return (rank/4 + 1) % 4
-				}
-				return -1
-			},
+			Tracer:      st.Agg,
 		}
-		// One 100us cadence for every policy — the tuner's calibrated window
-		// (a faster plane would re-tune the tuner), and long enough that the
-		// replicator's smoothed write fraction spans many requests per
-		// tenant (Decay 0.95 ≈ a 2ms horizon; a sub-request horizon would
-		// classify each tenant by its *last* request, not its mix).
-		var plane *autonomic.Plane
-		if row.tunePlane || row.migrate || row.replicate {
-			plane = autonomic.NewPlane(sim.Micros(100))
-		}
+		AutonomicTenants(&cfg, mcfg.Stations)
 		if row.kind == locks.KindTuned {
 			// Default tuner in both tuned rows — it starts as the very spin
 			// lock the static rows run, and escalates only when its own
-			// measurements demand — so tune-only and combined differ in
-			// scheduling alone.
-			tp := tune.Params{}
-			if row.tunePlane {
-				tp.Plane = plane
-			}
+			// measurements demand — so tune-only and combined differ only in
+			// which other policies share its plane.
+			tp := st.TuneParams()
 			cfg.TuneParams = &tp
 		}
-		var daemon *placement.Daemon
-		var rep *autonomic.Replicator
-		cfg.Attach = func(sys *core.System) {
-			costs := autonomic.CostsFromLatency(sys.M.Lat())
-			if row.replicate {
-				rep = autonomic.NewReplicator(sys.M, topo, costs,
-					autonomic.ReplicatorParams{Decay: 0.95, MinWeight: 4, Confirm: 3, Payback: 48},
-					placement.ReplicateKernel(sys.K, agg))
-				plane.Add(rep)
-			}
-			if row.migrate {
-				dp := placement.DaemonParams{Decay: 0.9, MinWeight: 2, Confirm: 6, Improve: 0.25, Budget: 2}
-				if rep != nil {
-					// The plane's division of labor: the migrator yields any
-					// slot the replicator claims as read-mostly.
-					dp.Yield = rep.Claimed
-				}
-				daemon = placement.NewDaemon(sys.M, agg, topo, costs, dp,
-					placement.ManageKernel(sys.K))
-				plane.Add(daemon)
-			}
-			if plane != nil {
-				plane.Start(sys.M.Eng)
-			}
-		}
+		cfg.Attach = func(sys *core.System) { st.AttachKernel(sys.M, sys.K) }
 		c := cell{res: workload.ServerRun(cfg)}
 		if row.kind == locks.KindTuned {
 			for _, ctl := range c.res.Sys.K.Controllers() {
 				c.switches += int(ctl.Switches())
 			}
 		}
-		if daemon != nil {
-			c.moves = len(daemon.Moves())
-		}
-		if rep != nil {
-			for _, a := range rep.Actions() {
-				if a.Kind == "collapse" {
-					c.collapses++
-				} else {
-					c.reps++
-				}
-			}
-		}
-		if plane != nil {
-			c.planeTicks = plane.Ticks()
-		}
+		c.planeTicks, c.moves, c.reps, c.collapses = st.Counts()
 		c.replicaUpdates = c.res.Sys.M.Mem.ReplicaUpdates
 		cells[i] = c
 	})

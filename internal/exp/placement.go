@@ -7,20 +7,9 @@ import (
 	"hurricane/internal/kernel"
 	"hurricane/internal/locks"
 	"hurricane/internal/sim"
-	"hurricane/internal/trace"
 	"hurricane/internal/trace/placement"
 	"hurricane/internal/workload"
 )
-
-// placementCell describes the machine a placement experiment cell runs on:
-// a single cluster spanning the whole machine, with the analyzer's topology
-// and cost model matching the hardware.
-type placementCell struct {
-	machine sim.Config
-	size    int // cluster size == processor count
-	topo    placement.Topo
-	costs   placement.Costs
-}
 
 // placementPhase is one traced, telemetry-wrapped run of the station-0
 // faulter workload: 4 faulting processes concentrated in station 0 while
@@ -28,26 +17,30 @@ type placementCell struct {
 // default), so most slots are pure cross-ring traffic placement should
 // eliminate.
 type placementPhase struct {
-	agg     *trace.Aggregate
+	// st carries the phase's aggregate and, when the online daemon ran,
+	// the daemon itself.
+	st      *placement.Stack
 	mm      *locks.Stats
 	faultUS float64
 	kstats  kernel.Stats
-	daemon  *placement.Daemon // non-nil when the online daemon ran
 }
 
-// runPlacement executes the workload once on cell's machine. A non-nil
-// moves map replays analyzer-proposed homes offline (kernel SlotModule); a
-// non-nil daemon parameter set instead allocates the kernel data in
-// migratable regions and lets the online daemon re-home it mid-run. Both
-// nil is the static baseline.
-func runPlacement(cell placementCell, rounds int, moves map[int]int, daemon *placement.DaemonParams) placementPhase {
-	var ph placementPhase
-	ph.agg = trace.NewAggregate(cell.topo.Modules())
+// placementOnlineRow is the constants row the online daemon runs with.
+const placementOnlineRow = placement.RowFault
+
+// runPlacement executes the workload once on machine mc, as a single
+// cluster spanning the whole machine. A non-nil moves map replays
+// analyzer-proposed homes offline (kernel SlotModule); online instead
+// allocates the kernel data in migratable regions and lets the online
+// daemon re-home it mid-run. Neither is the static baseline.
+func runPlacement(mc sim.Config, rounds int, moves map[int]int, online bool) placementPhase {
+	ph := placementPhase{st: placement.NewStack(mc, placementOnlineRow, placement.Policies{Migrate: online})}
 	cfg := core.Config{
-		Machine:     cell.machine,
-		ClusterSize: cell.size,
+		Machine:     mc,
+		ClusterSize: ph.st.Agg.Modules(),
 		LockKind:    locks.KindH2MCS,
-		Tracer:      ph.agg,
+		Tracer:      ph.st.Agg,
+		Migratable:  online,
 	}
 	if moves != nil {
 		cfg.SlotModule = func(c, slot, def int) int {
@@ -57,17 +50,10 @@ func runPlacement(cell placementCell, rounds int, moves map[int]int, daemon *pla
 			return def
 		}
 	}
-	if daemon != nil {
-		cfg.Migratable = true
-	}
 	sys := core.NewSystem(cfg)
 	ph.mm = locks.NewStats(sys.M, sys.K.VM.MMLock(0))
 	sys.K.VM.SetMMLock(0, ph.mm)
-	if daemon != nil {
-		ph.daemon = placement.NewDaemon(sys.M, ph.agg, cell.topo, cell.costs,
-			*daemon, placement.ManageKernel(sys.K))
-		ph.daemon.Start()
-	}
+	ph.st.AttachKernel(sys.M, sys.K)
 	res := workload.IndependentFaults(sys, 4, 4, rounds)
 	ph.faultUS = res.Dist.Mean()
 	ph.kstats = res.Stats
@@ -81,15 +67,16 @@ func runPlacement(cell placementCell, rounds int, moves map[int]int, daemon *pla
 // (online move counts, migration overhead) follow the shared ones. It
 // returns the phase's cross-ring access count.
 func placementReport(t *Table, prefix, name string, ph placementPhase, extra ...string) uint64 {
-	total := ph.agg.AccessByDist[0] + ph.agg.AccessByDist[1] + ph.agg.AccessByDist[2]
-	ringAcc := ph.agg.AccessByDist[sim.DistRing]
+	agg := ph.st.Agg
+	total := agg.AccessByDist[0] + agg.AccessByDist[1] + agg.AccessByDist[2]
+	ringAcc := agg.AccessByDist[sim.DistRing]
 	ringPct := 0.0
 	if total > 0 {
 		ringPct = 100 * float64(ringAcc) / float64(total)
 	}
 	rpcObj := uint64(0)
 	rpcRing := uint64(0)
-	for _, o := range ph.agg.SortedObjects() {
+	for _, o := range agg.SortedObjects() {
 		if o.Span == sim.SpanRPC {
 			rpcObj += o.Count
 			rpcRing += o.ByDist[sim.DistRing]
@@ -115,16 +102,6 @@ func placementReport(t *Table, prefix, name string, ph placementPhase, extra ...
 	return ringAcc
 }
 
-// hectorCell is the paper's machine as a placement cell.
-func hectorCell(seed uint64) placementCell {
-	return placementCell{
-		machine: sim.Config{Seed: seed},
-		size:    16,
-		topo:    placement.Topo{Stations: 4, ProcsPerStation: 4},
-		costs:   placement.DefaultCosts(),
-	}
-}
-
 // Placement closes the loop the trace pipeline exists for: trace a
 // Figure-7-style fault workload, feed the aggregated access matrix to the
 // placement analyzer, then replay the identical workload with the proposed
@@ -143,16 +120,16 @@ func Placement(seed uint64, rounds int) *Table {
 		Cols: []string{"run", "fault_us", "mm_acq_us", "ring_acc%", "ring_accesses",
 			"ring_handoffs", "rpc_ring%"},
 	}
-	cell := hectorCell(seed)
+	mc := sim.Config{Seed: seed}
 
 	// Phase A: trace the default placement (doubling as the baseline run —
 	// tracing and telemetry charge no simulated time).
-	base := runPlacement(cell, rounds, nil, nil)
-	rep := placement.Analyze(base.agg, cell.topo, cell.costs)
+	base := runPlacement(mc, rounds, nil, false)
+	rep := base.st.Analyze()
 	moves := rep.Moves()
 
 	// Phase B: replay with the proposed homes.
-	placed := runPlacement(cell, rounds, moves, nil)
+	placed := runPlacement(mc, rounds, moves, false)
 
 	ringBase := placementReport(t, "", "baseline", base)
 	ringPlaced := placementReport(t, "", "placed", placed)

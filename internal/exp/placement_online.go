@@ -3,24 +3,7 @@ package exp
 import (
 	"hurricane/internal/machine"
 	"hurricane/internal/sim"
-	"hurricane/internal/trace/placement"
 )
-
-// onlineDaemonParams is the controller tuning both machines use: sampling
-// fast (25us against a ~200us fault) so a placement mistake is noticed
-// within one fault; smoothing over a ~250us horizon (Decay 0.9 at this
-// cadence) so no single fault's burst dominates the vector; MinWeight low
-// enough that even the scratch slots' ~1 access/window steady rate clears
-// it; and three confirming windows before any copy. Budget and cooldown
-// keep their defaults.
-func onlineDaemonParams() placement.DaemonParams {
-	return placement.DaemonParams{
-		Period:    sim.Micros(25),
-		Decay:     0.9,
-		MinWeight: 0.25,
-		Confirm:   3,
-	}
-}
 
 // PlacementOnline pits the online placement daemon against the static
 // default striping and against exp.Placement's offline trace-then-replay
@@ -40,17 +23,11 @@ func PlacementOnline(seed uint64, rounds int) *Table {
 
 	type setup struct {
 		name string
-		cell placementCell
+		mc   sim.Config
 	}
-	n64 := machine.NUMAchine64(seed)
 	setups := []setup{
-		{"hector16", hectorCell(seed)},
-		{"numachine64", placementCell{
-			machine: n64,
-			size:    64,
-			topo:    placement.Topo{Stations: 8, ProcsPerStation: 8},
-			costs:   placement.CostsFromLatency(n64.Lat),
-		}},
+		{"hector16", sim.Config{Seed: seed}},
+		{"numachine64", machine.NUMAchine64(seed)},
 	}
 
 	type outcome struct {
@@ -59,15 +36,14 @@ func PlacementOnline(seed uint64, rounds int) *Table {
 	}
 	outs := make([]outcome, len(setups))
 	RunParallel(len(setups), func(i int) {
-		cell := setups[i].cell
+		mc := setups[i].mc
 		o := &outs[i]
 		// Static striping doubles as the offline analyzer's training trace.
-		o.static = runPlacement(cell, rounds, nil, nil)
-		moves := placement.Analyze(o.static.agg, cell.topo, cell.costs).Moves()
+		o.static = runPlacement(mc, rounds, nil, false)
+		moves := o.static.st.Analyze().Moves()
 		o.offlineMoves = len(moves)
-		o.offline = runPlacement(cell, rounds, moves, nil)
-		dp := onlineDaemonParams()
-		o.online = runPlacement(cell, rounds, nil, &dp)
+		o.offline = runPlacement(mc, rounds, moves, false)
+		o.online = runPlacement(mc, rounds, nil, true)
 	})
 
 	var rel [2]float64
@@ -76,7 +52,7 @@ func PlacementOnline(seed uint64, rounds int) *Table {
 		ringStatic := placementReport(t, s.name, "static", o.static, "0", "0.0")
 		placementReport(t, s.name, "offline", o.offline, d(uint64(o.offlineMoves)), "0.0")
 		migUS := float64(o.online.kstats.MigrationCycles) / sim.CyclesPerMicrosecond
-		nmoves := len(o.online.daemon.Moves())
+		nmoves := len(o.online.st.Daemon.Moves())
 		ringOnline := placementReport(t, s.name, "online", o.online, d(uint64(nmoves)), f1(migUS))
 
 		reduction := 0.0

@@ -8,7 +8,6 @@ import (
 	"hurricane/internal/locks"
 	"hurricane/internal/machine"
 	"hurricane/internal/sim"
-	"hurricane/internal/trace"
 	"hurricane/internal/trace/placement"
 	"hurricane/internal/workload"
 )
@@ -57,21 +56,21 @@ type serverMachineConfig struct {
 	name        string
 	cfg         func(seed uint64) sim.Config
 	clusterSize int
-	topo        placement.Topo
 	meanGap     sim.Duration
 	tenants     int
 }
 
 var serverMachineConfigs = []serverMachineConfig{
-	{"hector16", machine.Hector16, 4, placement.Topo{Stations: 4, ProcsPerStation: 4}, sim.Micros(90), 16},
-	{"numachine64", machine.NUMAchine64, 8, placement.Topo{Stations: 8, ProcsPerStation: 8}, sim.Micros(180), 32},
+	{"hector16", machine.Hector16, 4, sim.Micros(90), 16},
+	{"numachine64", machine.NUMAchine64, 8, sim.Micros(180), 32},
 }
 
-// serverArrivals is the shared open-loop shape: Poisson base load, 3x MMPP
-// bursts with a 1/3 duty cycle, a mild diurnal ramp, and a late 2.5x flash
-// crowd — the mid-run load shifts none of the fixed locks (or the tuner's
-// thresholds) were chosen against.
-func serverArrivals(gap sim.Duration, horizon sim.Duration) workload.ArrivalSpec {
+// ServerArrivals is the shared open-loop shape of the server experiments
+// (and of lockstat -run server): Poisson base load, 3x MMPP bursts with a
+// 1/3 duty cycle, a mild diurnal ramp, and a late 2.5x flash crowd — the
+// mid-run load shifts none of the fixed locks (or the tuner's thresholds)
+// were chosen against.
+func ServerArrivals(gap sim.Duration, horizon sim.Duration) workload.ArrivalSpec {
 	return workload.ArrivalSpec{
 		MeanGap:     gap,
 		Horizon:     horizon,
@@ -112,32 +111,27 @@ func ServerSweep(seed uint64, horizonMS int) *Table {
 	RunParallel(len(results), func(i int) {
 		mc := serverMachineConfigs[i/nl]
 		lc := serverLockConfigs[i%nl]
+		mcfg := mc.cfg(seed)
 		cfg := workload.ServerConfig{
-			Machine:     mc.cfg(seed),
+			Machine:     mcfg,
 			ClusterSize: mc.clusterSize,
 			LockKind:    lc.kind,
 			Tenants:     mc.tenants,
 			ZipfS:       1.0,
-			Arrivals:    serverArrivals(mc.meanGap, horizon),
+			Arrivals:    ServerArrivals(mc.meanGap, horizon),
 			Warmup:      warmup,
 			ChurnEvery:  8,
 		}
 		if lc.deadline > 0 {
 			cfg.Deadline = lc.deadline
-			cfg.QueueLimit = 16 * mc.topo.Stations * mc.topo.ProcsPerStation
+			cfg.QueueLimit = 16 * mcfg.Stations * mcfg.ProcsPerStation
 		}
-		var daemon *placement.Daemon
+		var st *placement.Stack
 		if lc.daemon {
 			cfg.Migratable = true
-			agg := trace.NewAggregate(mc.topo.Stations * mc.topo.ProcsPerStation)
-			cfg.Tracer = agg
-			topo := mc.topo
-			cfg.Attach = func(sys *core.System) {
-				daemon = placement.NewDaemon(sys.M, agg, topo,
-					placement.CostsFromLatency(sys.M.Lat()),
-					placement.DefaultDaemonParams(), placement.ManageKernel(sys.K))
-				daemon.Start()
-			}
+			st = placement.NewStack(mcfg, placement.RowDefaults, placement.Policies{Migrate: true})
+			cfg.Tracer = st.Agg
+			cfg.Attach = func(sys *core.System) { st.AttachKernel(sys.M, sys.K) }
 		}
 		c := cell{res: workload.ServerRun(cfg)}
 		if lc.kind == locks.KindTuned {
@@ -145,8 +139,8 @@ func ServerSweep(seed uint64, horizonMS int) *Table {
 				c.switches += int(ctl.Switches())
 			}
 		}
-		if daemon != nil {
-			c.moves = len(daemon.Moves())
+		if st != nil {
+			_, c.moves, _, _ = st.Counts()
 		}
 		results[i] = c
 	})

@@ -178,15 +178,7 @@ type Machine struct {
 // latency for zero values, Ring2 = 2x Ring when a ring hierarchy is
 // configured).
 func FromConfig(cfg sim.Config) Machine {
-	if cfg.Stations == 0 {
-		cfg.Stations = 4
-	}
-	if cfg.ProcsPerStation == 0 {
-		cfg.ProcsPerStation = 4
-	}
-	if cfg.Lat == (sim.Latency{}) {
-		cfg.Lat = sim.DefaultLatency()
-	}
+	cfg = cfg.WithDefaults()
 	if cfg.StationsPerRing > 0 && cfg.Lat.Ring2 == 0 {
 		cfg.Lat.Ring2 = 2 * cfg.Lat.Ring
 	}
@@ -554,8 +546,21 @@ type Predictor struct {
 }
 
 // Predict evaluates the calibrated closed form for one (lock, point).
+// A point outside the model's domain is brought into it rather than
+// extrapolated: Procs is clamped to [1, the machine's processors] (the
+// closed forms price hand-offs over the machine's own stations, so more
+// contenders than processors have no meaning), and a NaN or negative hold
+// or think time counts as 0. Every prediction is then finite and
+// non-negative.
 func (pr Predictor) Predict(l Lock, pt Point) Prediction {
 	l = l.withDefaults()
+	pt.Procs = max(min(pt.Procs, pr.M.Procs()), 1)
+	if !(pt.HoldUS >= 0) { // negative or NaN
+		pt.HoldUS = 0
+	}
+	if !(pt.ThinkUS >= 0) {
+		pt.ThinkUS = 0
+	}
 	pEff := pr.M.effectiveProcs(l, pt)
 	c := pr.M.overhead(l, Point{Procs: pEff, HoldUS: pt.HoldUS}) * pr.Cal.PairResidual(l)
 	// Uncontended, the only wait is the acquire half of the round

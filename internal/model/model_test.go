@@ -56,6 +56,53 @@ func TestWaitMonotoneInProcs(t *testing.T) {
 	}
 }
 
+// Predict clamps a point outside its domain instead of extrapolating it:
+// Procs to [1, machine size], a NaN or negative hold or think time to 0.
+// Every output stays finite and non-negative, and the wait stays
+// nondecreasing in Procs up to the machine size and flat beyond it.
+func TestPredictDomain(t *testing.T) {
+	nan := math.NaN()
+	for _, m := range []Machine{hector16(), numachine64(), numachine256()} {
+		n := m.Procs()
+		pr := Predictor{M: m}
+		cases := []struct {
+			name    string
+			in, out Point
+		}{
+			{"procs far above machine", Point{Procs: 1000, HoldUS: 25}, Point{Procs: n, HoldUS: 25}},
+			{"procs one above machine", Point{Procs: n + 1, HoldUS: 25}, Point{Procs: n, HoldUS: 25}},
+			{"zero procs", Point{Procs: 0, HoldUS: 25}, Point{Procs: 1, HoldUS: 25}},
+			{"negative procs", Point{Procs: -3, HoldUS: 25}, Point{Procs: 1, HoldUS: 25}},
+			{"negative hold", Point{Procs: 8, HoldUS: -50}, Point{Procs: 8}},
+			{"NaN hold", Point{Procs: 8, HoldUS: nan}, Point{Procs: 8}},
+			{"negative think", Point{Procs: 8, HoldUS: 25, ThinkUS: -10}, Point{Procs: 8, HoldUS: 25}},
+			{"NaN think", Point{Procs: 8, HoldUS: 25, ThinkUS: nan}, Point{Procs: 8, HoldUS: 25}},
+		}
+		for _, l := range testLocks {
+			for _, c := range cases {
+				got, want := pr.Predict(l, c.in), pr.Predict(l, c.out)
+				if got != want {
+					t.Errorf("%s %dp %s: %+v, want the in-domain %+v", l, n, c.name, got, want)
+				}
+				for _, v := range []float64{got.PairUS, got.WaitUS, got.Throughput} {
+					if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+						t.Errorf("%s %dp %s: non-finite or negative output %+v", l, n, c.name, got)
+						break
+					}
+				}
+			}
+			prev := -1.0
+			for p := -3; p <= n+8; p++ {
+				w := pr.Predict(l, Point{Procs: p, HoldUS: 25}).WaitUS
+				if w < prev-1e-9 {
+					t.Errorf("%s %dp: wait(p=%d)=%.3f < wait(p=%d)=%.3f", l, n, p, w, p-1, prev)
+				}
+				prev = w
+			}
+		}
+	}
+}
+
 // Predicted wait must be nondecreasing in the hold time: holding longer
 // can never drain the queue faster.
 func TestWaitMonotoneInHold(t *testing.T) {
@@ -190,22 +237,6 @@ func TestCalibrateRecoversResiduals(t *testing.T) {
 	}
 	if cal.MedianErr > 1e-6 {
 		t.Errorf("MedianErr = %g on a perfectly fittable grid", cal.MedianErr)
-	}
-}
-
-// An unfitted calibration must price exactly like autonomic.Worthwhile,
-// and a fitted one must demand the uncertainty margin.
-func TestWorthMargin(t *testing.T) {
-	base := Calibration{}.Worth()
-	if !base(10, 10, 100) || base(10, 10, 101) {
-		t.Fatalf("unfitted Worth should be the plain payback bar")
-	}
-	strict := Calibration{MedianErr: 0.5}.Worth()
-	if strict(10, 10, 100) {
-		t.Errorf("Worth with MedianErr=0.5 accepted a marginal action")
-	}
-	if !strict(15, 10, 100) {
-		t.Errorf("Worth with MedianErr=0.5 rejected a clearly-paying action")
 	}
 }
 

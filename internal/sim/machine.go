@@ -20,7 +20,9 @@ type Config struct {
 	StationsPerRing int
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero field filled the way NewMachine
+// fills it: HECTOR's 4 stations x 4 processors and DefaultLatency.
+func (c Config) WithDefaults() Config {
 	if c.Stations == 0 {
 		c.Stations = 4
 	}
@@ -45,7 +47,7 @@ type Machine struct {
 // NewMachine builds a machine from cfg (zero fields take HECTOR defaults:
 // 4 stations × 4 processors).
 func NewMachine(cfg Config) *Machine {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	eng := NewEngine()
 	m := &Machine{
 		Eng: eng,

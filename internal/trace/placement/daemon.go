@@ -12,14 +12,11 @@ import (
 
 // DaemonParams bounds the online placement controller. The zero value takes
 // defaults. The controller shape deliberately mirrors internal/tune's lock
-// tuner: a fixed sampling cadence (Engine.Every daemon events, zero
-// simulated cost), EWMA smoothing of the windowed signal so one-window
+// tuner: a fixed sampling cadence (the autonomics plane's daemon events,
+// zero simulated cost), EWMA smoothing of the windowed signal so one-window
 // bursts cannot trigger action, and a hysteresis/indifference band plus
 // hard budgets so the feedback loop cannot thrash.
 type DaemonParams struct {
-	// Period is the sampling cadence (default 100us). Each tick diffs the
-	// live trace.Aggregate region vectors into one observation window.
-	Period sim.Duration
 	// Decay is the per-window EWMA retention of the smoothed access
 	// vectors (default 0.75, a ~4-window horizon — the same constant tune
 	// uses for its wait and utilization signals, and for the same reason:
@@ -42,8 +39,8 @@ type DaemonParams struct {
 	// worst-case migration traffic for an adversarial workload.
 	Budget int
 	// Confirm is how many consecutive windows the same destination must win
-	// before the move executes (default 2). A burst shorter than
-	// Confirm×Period — one processor's single fault, say — can nominate a
+	// before the move executes (default 2). A burst shorter than Confirm
+	// plane periods — one processor's single fault, say — can nominate a
 	// destination but never confirm it, so only sustained shifts move data.
 	Confirm int
 	// Payback is the rent-vs-buy horizon, in windows (default 64): a move
@@ -54,8 +51,9 @@ type DaemonParams struct {
 	// while leaving small slots cheap to re-home.
 	Payback int
 	// Cooldown is the minimum time between two moves of the same slot
-	// (default 8x Period), so an oscillating workload at most flips a slot
-	// once per cooldown until the budget runs out.
+	// (default 800us, eight windows of the default 100us plane), so an
+	// oscillating workload at most flips a slot once per cooldown until the
+	// budget runs out.
 	Cooldown sim.Duration
 	// Yield, when non-nil, marks regions another policy has claimed: the
 	// daemon folds their windows but never moves them. On a shared
@@ -69,19 +67,9 @@ type DaemonParams struct {
 	// home (processor and module numbers coincide on HECTOR). Override
 	// when not every processor runs (lockstat's stress loop).
 	Exec func(home int) int
-	// Worth, when non-nil, replaces the Worthwhile payback heuristic for
-	// the move decision (same signature and meaning: does benefit×horizon
-	// repay cost?). The analytic model supplies one via
-	// model.Calibration.Worth, which inflates the bar by the model's
-	// residual fit error so uncertain predictions buy less. Nil keeps
-	// Worthwhile; every default is unchanged.
-	Worth func(benefit float64, horizon int, cost float64) bool
 }
 
 func (p DaemonParams) withDefaults() DaemonParams {
-	if p.Period == 0 {
-		p.Period = sim.Micros(100)
-	}
 	if p.Decay == 0 {
 		p.Decay = 0.75
 	}
@@ -101,13 +89,10 @@ func (p DaemonParams) withDefaults() DaemonParams {
 		p.Payback = 64
 	}
 	if p.Cooldown == 0 {
-		p.Cooldown = 8 * p.Period
+		p.Cooldown = sim.Micros(800)
 	}
 	return p
 }
-
-// DefaultDaemonParams returns the defaulted parameter set.
-func DefaultDaemonParams() DaemonParams { return DaemonParams{}.withDefaults() }
 
 // DaemonSlot is one migratable object under daemon management.
 type DaemonSlot struct {
@@ -129,8 +114,8 @@ type Move struct {
 	At       sim.Time
 }
 
-// Daemon is the online placement controller: at every Period it diffs the
-// live aggregate's per-region access vectors into a window, EWMA-smooths
+// Daemon is the online placement controller: at every plane tick it diffs
+// the live aggregate's per-region access vectors into a window, EWMA-smooths
 // them, asks the analyzer's propose() for a ring-minimizing home against
 // the machine's cost model, and — when the improvement clears the Improve
 // band and the slot has budget and cooldown headroom — executes the move by
@@ -142,8 +127,8 @@ type Move struct {
 type Daemon struct {
 	m     *sim.Machine
 	agg   *trace.Aggregate
-	topo  Topo
-	costs Costs
+	topo  autonomic.Topo
+	costs autonomic.Costs
 	p     DaemonParams
 	slots []*slotState
 	moves []Move
@@ -161,8 +146,9 @@ type slotState struct {
 
 // NewDaemon builds a daemon over machine m, observing the live aggregate
 // agg (which must be installed as the machine's tracer) and managing the
-// given slots. Call Start to begin sampling.
-func NewDaemon(m *sim.Machine, agg *trace.Aggregate, topo Topo, costs Costs, params DaemonParams, slots []DaemonSlot) *Daemon {
+// given slots. Register it on an autonomic.Plane to begin sampling; Stack
+// does both.
+func NewDaemon(m *sim.Machine, agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs, params DaemonParams, slots []DaemonSlot) *Daemon {
 	d := &Daemon{m: m, agg: agg, topo: topo, costs: costs, p: params.withDefaults()}
 	n := agg.Modules()
 	for _, s := range slots {
@@ -197,21 +183,10 @@ func (d *Daemon) SlotMoves(name string) int {
 // Name implements autonomic.Policy.
 func (d *Daemon) Name() string { return "migrate" }
 
-// Ticks reports how many sampling windows have been consumed.
-func (d *Daemon) Ticks() uint64 { return d.ticks }
-
-// Start registers the sampling hook: a daemon event every Period that
-// neither consumes simulated time nor keeps the run alive. Determinism is
-// preserved the same way tune.Attach preserves it — the only feedback path
-// into the simulation is the migrations the daemon requests. Alternatively
-// register the daemon on an autonomic.Plane (it implements
-// autonomic.Policy) to share one cadence with the other policies; do not
-// do both.
-func (d *Daemon) Start() {
-	d.m.Eng.Every(d.p.Period, d.Tick)
-}
-
-// Tick implements autonomic.Policy: one observation window.
+// Tick implements autonomic.Policy: one observation window. The plane's
+// daemon event neither consumes simulated time nor keeps the run alive, so
+// the only feedback path into the simulation is the migrations the daemon
+// requests.
 func (d *Daemon) Tick(now sim.Time) {
 	d.ticks++
 	n := d.topo.Modules()
@@ -275,11 +250,7 @@ func (d *Daemon) Tick(now sim.Time) {
 			// scale) must repay the copy within the Payback horizon.
 			benefit := (prop.CurCost - prop.NewCost) / 16
 			copyCost := float64(d.m.Mem.RegionWords(s.Region)) * d.costs.Ring
-			worth := d.p.Worth
-			if worth == nil {
-				worth = autonomic.Worthwhile
-			}
-			if !worth(benefit, d.p.Payback, copyCost) {
+			if !autonomic.Worthwhile(benefit, d.p.Payback, copyCost) {
 				prop.Proposed = prop.Home
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"hurricane/internal/autonomic"
 	"hurricane/internal/core"
 	"hurricane/internal/locks"
 	"hurricane/internal/sim"
@@ -16,19 +17,17 @@ import (
 // attached and returns a fingerprint covering everything observable: move
 // log, migration counters, fault latency, and final simulated time.
 func daemonRun(seed uint64) string {
-	agg := trace.NewAggregate(16)
+	mc := sim.Config{Seed: seed}
+	st := placement.NewStack(mc, placement.RowFault, placement.Policies{Migrate: true})
 	sys := core.NewSystem(core.Config{
-		Machine:     sim.Config{Seed: seed},
+		Machine:     mc,
 		ClusterSize: 16,
 		LockKind:    locks.KindH2MCS,
-		Tracer:      agg,
+		Tracer:      st.Agg,
 		Migratable:  true,
 	})
-	d := placement.NewDaemon(sys.M, agg, placement.Topo{Stations: 4, ProcsPerStation: 4},
-		placement.DefaultCosts(),
-		placement.DaemonParams{Period: sim.Micros(25), Decay: 0.9, MinWeight: 0.25, Confirm: 3},
-		placement.ManageKernel(sys.K))
-	d.Start()
+	st.AttachKernel(sys.M, sys.K)
+	d := st.Daemon
 	res := workload.IndependentFaults(sys, 4, 4, 6)
 	return fmt.Sprintf("%s|mig=%d words=%d cycles=%d|fault=%.6f|end=%v",
 		d.Report(), res.Stats.Migrations, res.Stats.MigratedWords,
@@ -48,23 +47,21 @@ func TestDaemonDeterminism(t *testing.T) {
 // zero migrations, zero charged cost — so enabling it on a well-placed
 // system is free.
 func TestDaemonNoOpOnOptimalLayout(t *testing.T) {
-	agg := trace.NewAggregate(16)
+	mc := sim.Config{Seed: 1}
+	st := placement.NewStack(mc, placement.RowFault, placement.Policies{Migrate: true})
 	sys := core.NewSystem(core.Config{
-		Machine:     sim.Config{Seed: 1},
+		Machine:     mc,
 		ClusterSize: 16,
 		LockKind:    locks.KindH2MCS,
-		Tracer:      agg,
+		Tracer:      st.Agg,
 		Migratable:  true,
 		// Pre-place every slot inside station 0, where all the faulters
 		// run: the blended access vector then costs the same at any
 		// station-0 module, which is inside the indifference band.
 		SlotModule: func(c, slot, def int) int { return slot },
 	})
-	d := placement.NewDaemon(sys.M, agg, placement.Topo{Stations: 4, ProcsPerStation: 4},
-		placement.DefaultCosts(),
-		placement.DaemonParams{Period: sim.Micros(25), Decay: 0.9, MinWeight: 0.25, Confirm: 3},
-		placement.ManageKernel(sys.K))
-	d.Start()
+	st.AttachKernel(sys.M, sys.K)
+	d := st.Daemon
 	res := workload.IndependentFaults(sys, 4, 4, 8)
 	if n := len(d.Moves()); n != 0 {
 		t.Fatalf("daemon made %d moves on an optimal layout:\n%s", n, d.Report())
@@ -85,10 +82,9 @@ func TestDaemonThrashBudget(t *testing.T) {
 	m.SetTracer(agg)
 	region := m.Mem.NewRegion(0)
 	data := m.Alloc(region, 4)
-	d := placement.NewDaemon(m, agg, placement.Topo{Stations: 4, ProcsPerStation: 4},
-		placement.DefaultCosts(),
+	d := placement.NewDaemon(m, agg, autonomic.Topo{Stations: 4, ProcsPerStation: 4},
+		autonomic.DefaultCosts(),
 		placement.DaemonParams{
-			Period:    sim.Micros(25),
 			Decay:     0.9,
 			MinWeight: 0.25,
 			Confirm:   2,
@@ -103,7 +99,9 @@ func TestDaemonThrashBudget(t *testing.T) {
 				m.Mem.MigrateRegion(p, region, to)
 			},
 		}})
-	d.Start()
+	plane := autonomic.NewPlane(sim.Micros(25))
+	plane.Add(d)
+	plane.Start(m.Eng)
 
 	// Processors 0 (station 0) and 12 (station 3) alternate hammering the
 	// region in 200us phases — long enough for the daemon to commit to each

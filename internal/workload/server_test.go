@@ -7,7 +7,6 @@ import (
 	"hurricane/internal/locks"
 	"hurricane/internal/machine"
 	"hurricane/internal/sim"
-	"hurricane/internal/trace"
 	"hurricane/internal/trace/placement"
 )
 
@@ -107,17 +106,11 @@ func TestServerDeadlineDrops(t *testing.T) {
 func TestServerControllerInteraction(t *testing.T) {
 	cfg := serverTestConfig(5, locks.KindTuned)
 	cfg.Migratable = true
-	agg := trace.NewAggregate(16)
-	cfg.Tracer = agg
-	topo := placement.Topo{Stations: 4, ProcsPerStation: 4}
-	var daemon *placement.Daemon
-	cfg.Attach = func(sys *core.System) {
-		daemon = placement.NewDaemon(sys.M, agg, topo,
-			placement.CostsFromLatency(sys.M.Lat()), placement.DefaultDaemonParams(),
-			placement.ManageKernel(sys.K))
-		daemon.Start()
-	}
+	st := placement.NewStack(cfg.Machine, placement.RowDefaults, placement.Policies{Migrate: true})
+	cfg.Tracer = st.Agg
+	cfg.Attach = func(sys *core.System) { st.AttachKernel(sys.M, sys.K) }
 	r := ServerRun(cfg)
+	daemon := st.Daemon
 	if r.Completed == 0 {
 		t.Fatal("no measured completions")
 	}
