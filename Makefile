@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-wall results bench-diff bench-baseline jobs-equiv perfbench-test trace-smoke server-smoke autonomic-smoke model-smoke doc-lint profile
+.PHONY: ci vet build test race bench bench-wall results bench-diff bench-baseline jobs-equiv perfbench-test trace-smoke server-smoke autonomic-smoke model-smoke fuzz-smoke doc-lint profile
 
-ci: vet build test race bench-diff jobs-equiv perfbench-test trace-smoke server-smoke autonomic-smoke model-smoke doc-lint
+ci: vet build test race bench-diff jobs-equiv perfbench-test trace-smoke server-smoke autonomic-smoke model-smoke fuzz-smoke doc-lint
 
 vet:
 	$(GO) vet ./...
@@ -113,17 +113,24 @@ autonomic-smoke:
 # End-to-end check of the analytic model pipeline: a CI-scale
 # calibrate-and-validate cell must fit residuals, rank the lock zoo
 # correctly at every validation point on all three machines, and publish
-# the head-to-head tuner metrics. (The quick head-to-head is too short
-# for the model tuner's confirmation gates to act — its elapsed ratio is
-# informational here; EXPERIMENTS.md quotes the full-scale run.)
+# the calibrated spin->queue crossover for each of them.
 model-smoke:
 	$(GO) run ./cmd/hurricane-bench -quick -run '^model$$' -json /tmp/hurricane_model.json > /dev/null
 	grep -A 1 '"hector16.rank_agreement"' /tmp/hurricane_model.json | grep -q '"value": 100'
 	grep -A 1 '"numachine64.rank_agreement"' /tmp/hurricane_model.json | grep -q '"value": 100'
 	grep -A 1 '"numachine256.rank_agreement"' /tmp/hurricane_model.json | grep -q '"value": 100'
-	grep -q '"hector16.model_regret_us"' /tmp/hurricane_model.json
-	grep -q '"numachine64.model_vs_reactive_elapsed"' /tmp/hurricane_model.json
+	grep -q '"hector16.pred_cross_spin_queue"' /tmp/hurricane_model.json
+	grep -q '"numachine64.pred_cross_spin_queue"' /tmp/hurricane_model.json
+	grep -q '"numachine256.pred_cross_spin_queue"' /tmp/hurricane_model.json
 	@echo "model-smoke: calibrated model ranks the lock zoo correctly on all machines"
+
+# Short fuzzing pass over the tuner's pure surface: the cap law and the
+# controller over arbitrary window sequences. The checked-in seed corpora
+# in internal/tune/testdata/fuzz also run as plain tests under `make test`;
+# this target explores past them for a few seconds each.
+fuzz-smoke:
+	$(GO) test ./internal/tune/ -run '^$$' -fuzz '^FuzzNextCap$$' -fuzztime 5s -parallel 2
+	$(GO) test ./internal/tune/ -run '^$$' -fuzz '^FuzzObserve$$' -fuzztime 5s -parallel 2
 
 # Documentation gate: every exported identifier in the model, autonomic,
 # and tune packages carries a doc comment, and every intra-repo markdown

@@ -42,17 +42,6 @@
 // The stress path keeps its own one-region slot and runs every actuation
 // on processor 0, because only -procs processors run.
 //
-// With -model (implies -tune), the controller runs in model-driven mode:
-// instead of walking the backoff cap and escalating through the mode
-// chain reactively, it asks the analytic performance model
-// (internal/model) for the predicted-best shape and cap and jumps
-// straight there. The model drives the lock controllers only; the
-// placement and replication policies price their copies with
-// autonomic.Worthwhile either way.
-//
-//	lockstat -model -procs 16 -hold 25           # model-driven controller
-//	lockstat -run server -autonomic -model       # model-driven tuner on the full plane
-//
 // Flags are checked before the run (validate); a bad value exits 2.
 package main
 
@@ -66,7 +55,6 @@ import (
 	"hurricane/internal/exp"
 	"hurricane/internal/locks"
 	"hurricane/internal/machine"
-	"hurricane/internal/model"
 	"hurricane/internal/sim"
 	"hurricane/internal/trace"
 	"hurricane/internal/trace/placement"
@@ -150,7 +138,6 @@ func main() {
 	home := flag.Int("home", 0, "home module of the lock and its protected data")
 	migrate := flag.Bool("migrate", false, "protected data in a migratable region managed by the online placement daemon")
 	auto := flag.Bool("autonomic", false, "full autonomics plane: tuned lock + migration + replication under one cadence")
-	useModel := flag.Bool("model", false, "model-driven tuner mode (implies -tune)")
 	run := flag.String("run", "stress", "stress | server (open-loop multi-tenant server, tail-latency summary)")
 	horizonMS := flag.Int("ms", 20, "server mode: arrival horizon in simulated milliseconds")
 	flag.Parse()
@@ -158,9 +145,6 @@ func main() {
 	if *auto {
 		*tuned = true
 		*migrate = true
-	}
-	if *useModel {
-		*tuned = true
 	}
 	if *tuned {
 		*lock = "tuned"
@@ -176,7 +160,7 @@ func main() {
 		*warmup = *rounds / 4
 	}
 	if *run == "server" {
-		runServer(*machineName, mc, kind, *seed, *horizonMS, *migrate, *auto, *useModel)
+		runServer(*machineName, mc, kind, *seed, *horizonMS, *migrate, *auto)
 		return
 	}
 
@@ -215,7 +199,10 @@ func main() {
 		Region:  *migrate,
 	}
 	if kind == locks.KindTuned {
-		tp := tuneParams(st, mcfg, *useModel)
+		var tp tune.Params
+		if st != nil {
+			tp = st.TuneParams()
+		}
 		cfg.MakeLock = func(m *sim.Machine, home int) locks.Lock {
 			tl = locks.NewTuned(m, home, tp)
 			return tl
@@ -295,21 +282,6 @@ func main() {
 	}
 }
 
-// tuneParams returns the tuned locks' parameters: on st's plane when it
-// runs the Tune policy, and model-driven with -model. The advisor is built
-// from the machine config the run uses, with an unfitted calibration:
-// lockstat is a one-shot microscope, exp.ModelSweep runs the fitted path.
-func tuneParams(st *placement.Stack, cfg sim.Config, useModel bool) tune.Params {
-	var tp tune.Params
-	if st != nil {
-		tp = st.TuneParams()
-	}
-	if useModel {
-		tp.Model = model.NewAdvisor(model.FromConfig(cfg), model.Calibration{})
-	}
-	return tp
-}
-
 // serverStack builds the server path's autonomics stack: with -autonomic
 // the full plane on the "server" row, as exp.AutonomicSweep's combined row
 // runs it; with -migrate alone the daemon on the "defaults" row, as
@@ -329,7 +301,7 @@ func serverStack(cfg sim.Config, auto bool) *placement.Stack {
 // the tenants get migratable data regions (three of four read-mostly, one
 // of four write-hot and sharded off its data's home cluster) and the full
 // plane — tuned locks, migration, replication — manages the run.
-func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizonMS int, migrate, auto, useModel bool) {
+func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizonMS int, migrate, auto bool) {
 	mcfg := mc.cfg(seed)
 	cfg := workload.ServerConfig{
 		Machine:     mcfg,
@@ -354,8 +326,8 @@ func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizo
 		cfg.Tracer = st.Agg
 		cfg.Attach = func(sys *core.System) { st.AttachKernel(sys.M, sys.K) }
 	}
-	if auto || useModel {
-		tp := tuneParams(st, mcfg, useModel)
+	if auto {
+		tp := st.TuneParams()
 		cfg.TuneParams = &tp
 	}
 	r := workload.ServerRun(cfg)

@@ -41,25 +41,9 @@ type Tuned struct {
 	home        int
 	homeStation int
 
-	// counts holds the observation counters the controller's sampling hook
-	// diffs into windows, sharded by the acquiring processor's station and
-	// padded so that in parallel mode two stations never write-share a
-	// cache line. The sampling hook sums the shards at a quiesced point (a
-	// daemon event — in parallel mode, a window barrier), so the totals it
-	// sees are exactly the serial engine's.
-	counts []tunedCounts
-}
-
-// tunedCounts is one station's shard of the Tuned observation counters:
-// fast-path swaps and how many found the word taken, completed Acquire
-// calls (and how many came from off-home stations), and their total
-// acquire latency. All cumulative; padded to a 64-byte line.
-type tunedCounts struct {
-	fastAttempts, fastFailures uint64
-	acquisitions               uint64
-	remoteAcquisitions         uint64
-	waitCycles                 sim.Duration
-	_                          [3]uint64
+	// counts holds the cumulative observation counters the controller's
+	// sampling hook diffs into windows.
+	counts tune.Counters
 }
 
 // NewTuned builds a tuned lock homed on module home and attaches its
@@ -77,20 +61,8 @@ func NewTuned(m *sim.Machine, home int, p tune.Params) *Tuned {
 		ctl:         tune.NewController(p),
 		home:        home,
 		homeStation: m.Mem.StationOf(home),
-		counts:      make([]tunedCounts, m.Config().Stations),
 	}
-	tune.Attach(m.Eng, m.Mem.Module(home), func() tune.Counters {
-		var t tune.Counters
-		for i := range l.counts {
-			c := &l.counts[i]
-			t.Attempts += c.fastAttempts
-			t.Failures += c.fastFailures
-			t.Acquisitions += c.acquisitions
-			t.RemoteAcquisitions += c.remoteAcquisitions
-			t.WaitCycles += c.waitCycles
-		}
-		return t
-	}, l.ctl)
+	tune.Attach(m.Eng, m.Mem.Module(home), func() tune.Counters { return l.counts }, l.ctl)
 	return l
 }
 
@@ -110,26 +82,25 @@ func (l *Tuned) Word() sim.Addr { return l.word }
 func (l *Tuned) Acquire(p *sim.Proc) {
 	t0 := p.Now()
 	l.acquire(p)
-	c := &l.counts[p.Station()]
-	c.acquisitions++
+	l.counts.Acquisitions++
 	if p.Station() != l.homeStation {
-		c.remoteAcquisitions++
+		l.counts.RemoteAcquisitions++
 	}
-	c.waitCycles += p.Now() - t0
+	l.counts.WaitCycles += p.Now() - t0
 }
 
 // acquire is the acquisition protocol; Acquire wraps it with the zero-cost
 // latency accounting the controller's wait signal consumes.
 func (l *Tuned) acquire(p *sim.Proc) {
-	c := &l.counts[p.Station()]
+	c := &l.counts
 	p.Reg(1)
 	old := p.Swap(l.word, adHeld)
 	p.Branch(2)
-	c.fastAttempts++
+	c.Attempts++
 	if old == adFree {
 		return
 	}
-	c.fastFailures++
+	c.Failures++
 	if old == adGranted {
 		// A hand-off meant for the queue head; put it back.
 		p.Store(l.word, adGranted)
@@ -141,11 +112,11 @@ func (l *Tuned) acquire(p *sim.Proc) {
 		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
 		old = p.Swap(l.word, adHeld)
 		p.Branch(1)
-		c.fastAttempts++
+		c.Attempts++
 		if old == adFree {
 			return
 		}
-		c.fastFailures++
+		c.Failures++
 		if old == adGranted {
 			p.Store(l.word, adGranted)
 		}
@@ -155,71 +126,50 @@ func (l *Tuned) acquire(p *sim.Proc) {
 		}
 	}
 	if l.ctl.Mode() == tune.ModeCohort {
-		l.cohortAcquire(p)
+		l.headAcquire(p, l.cohort)
 		return
 	}
-	l.queueAcquire(p)
+	l.headAcquire(p, l.queue)
 }
 
-// cohortAcquire is the hierarchical path: contenders serialize through the
-// cohort lock — whose grant order batches by station — and only the cohort
-// holder polls the word, bounded by the controller's head backoff. The word
-// protocol is unchanged, so spinners and queuers from an in-flight mode
-// transition mix safely: a swallowed grant is restored exactly as on the
-// other paths.
-func (l *Tuned) cohortAcquire(p *sim.Proc) {
-	c := &l.counts[p.Station()]
-	l.cohort.Acquire(p)
+// headAcquire is the queued path, over either inner lock: contenders
+// serialize through inner — the H2-MCS queue in queue mode, the cohort
+// lock (whose grant order batches by station) in cohort mode — and only
+// its holder polls the word, bounded by the controller's head backoff
+// instead of a fixed HeadBackoff. The word protocol is unchanged, so
+// spinners and queuers from an in-flight mode transition mix safely: a
+// swallowed grant is restored exactly as on the spin path.
+func (l *Tuned) headAcquire(p *sim.Proc, inner Lock) {
+	c := &l.counts
+	inner.Acquire(p)
 	delay := sim.Duration(sim.Micros(1))
 	for {
 		old := p.Swap(l.word, adHeld)
 		p.Branch(1)
-		c.fastAttempts++
+		c.Attempts++
 		if old == adFree || old == adGranted {
 			break
 		}
-		c.fastFailures++
+		c.Failures++
 		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
 		if delay < l.ctl.HeadBackoff() {
 			delay *= 2
 		}
 	}
-	l.cohort.Release(p)
-}
-
-// queueAcquire is the Adaptive queue path with the head's polling bound
-// taken from the controller instead of a fixed HeadBackoff.
-func (l *Tuned) queueAcquire(p *sim.Proc) {
-	c := &l.counts[p.Station()]
-	l.queue.Acquire(p)
-	delay := sim.Duration(sim.Micros(1))
-	for {
-		old := p.Swap(l.word, adHeld)
-		p.Branch(1)
-		c.fastAttempts++
-		if old == adFree || old == adGranted {
-			break
-		}
-		c.fastFailures++
-		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
-		if delay < l.ctl.HeadBackoff() {
-			delay *= 2
-		}
-	}
-	l.queue.Release(p)
+	inner.Release(p)
 }
 
 // TryAcquire implements TryLocker: a single fast-path attempt.
 func (l *Tuned) TryAcquire(p *sim.Proc) bool {
-	c := &l.counts[p.Station()]
+	c := &l.counts
 	p.Reg(1)
 	old := p.Swap(l.word, adHeld)
 	p.Branch(2)
-	c.fastAttempts++
+	c.Attempts++
 	if old == adFree {
 		return true
 	}
-	c.fastFailures++
+	c.Failures++
 	if old == adGranted {
 		p.Store(l.word, adGranted)
 	}

@@ -37,7 +37,7 @@ type Calibration struct {
 	Wait map[string]float64
 	// MedianErr is the median relative wait error remaining on the fit
 	// grid after applying the residuals — the model's own uncertainty
-	// estimate, consumed by the Advisor's hysteresis margin.
+	// estimate, reported by exp.ModelSweep as fit_median_err.
 	MedianErr float64
 }
 

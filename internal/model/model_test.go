@@ -184,30 +184,6 @@ func TestCrossoverHoldAgreesWithScan(t *testing.T) {
 	}
 }
 
-// The closed-form BestCap must (near-)minimize the model's own spin
-// overhead over a dense cap scan.
-func TestBestCapMinimizesOverhead(t *testing.T) {
-	for _, m := range []Machine{hector16(), numachine64()} {
-		for _, p := range []int{2, 4, 8, m.Procs()} {
-			for _, hold := range []float64{5, 25, 100} {
-				pt := Point{Procs: p, HoldUS: hold}
-				best := m.BestCap(pt, 1, 4000)
-				atBest := m.spinOverhead(p, hold, best)
-				scanMin := math.Inf(1)
-				for cap := 1.0; cap <= 4000; cap *= 1.05 {
-					if c := m.spinOverhead(p, hold, cap); c < scanMin {
-						scanMin = c
-					}
-				}
-				if atBest > scanMin*1.05+0.5 {
-					t.Errorf("machine=%dx%d p=%d hold=%g: overhead(BestCap=%.1f)=%.2f vs scan min %.2f",
-						m.Stations, m.ProcsPerStation, p, hold, best, atBest, scanMin)
-				}
-			}
-		}
-	}
-}
-
 // Calibration must drive the fit-grid residual error to (near) zero when
 // the observations come from the model itself scaled by per-lock
 // constants — the identifiability sanity check.
@@ -237,59 +213,6 @@ func TestCalibrateRecoversResiduals(t *testing.T) {
 	}
 	if cal.MedianErr > 1e-6 {
 		t.Errorf("MedianErr = %g on a perfectly fittable grid", cal.MedianErr)
-	}
-}
-
-// The advisor must recommend spin for an uncontended lock and escalate to
-// the hierarchical shape for ring-dominated contention on the large
-// machine — the two ends of the mode chain.
-func TestAdvisorEndpoints(t *testing.T) {
-	adv := NewAdvisor(hector16(), Calibration{})
-	a := adv.Advise(ShapeSpin, 35, 2, 27) // wait ~ svc: nobody queued
-	if a.Shape != ShapeSpin {
-		t.Errorf("uncontended advice = %v, want spin (advice %+v)", a.Shape, a)
-	}
-	big := NewAdvisor(numachine256(), Calibration{})
-	// 255 waiters at ~30us service: deep ring-crossing queue.
-	b := big.Advise(ShapeSpin, 35, 255*30, 30)
-	if b.Shape == ShapeSpin {
-		t.Errorf("saturated 256-proc advice = %v, want queue or cohort (advice %+v)", b.Shape, b)
-	}
-	if b.Procs < 200 {
-		t.Errorf("inferred procs = %d, want near 256", b.Procs)
-	}
-}
-
-// A degenerate wait signal (overflowing, infinite, or NaN) is the most
-// contended signal there is: Infer must place it at the machine's full
-// processor count, and Advise must never pick a less contended shape for
-// it than for a large finite wait.
-func TestAdvisorDegenerateWait(t *testing.T) {
-	const svc = 30
-	machines := []struct {
-		name string
-		m    Machine
-	}{{"hector16", hector16()}, {"numachine64", numachine64()}, {"numachine256", numachine256()}}
-	for _, mc := range machines {
-		adv := NewAdvisor(mc.m, Calibration{})
-		ref := adv.Advise(ShapeSpin, 35, 1e5, svc)
-		for _, tc := range []struct {
-			name string
-			wait float64
-		}{
-			{"1e30", 1e30},
-			{"+Inf", math.Inf(1)},
-			{"NaN", math.NaN()},
-			{"MaxFloat64", math.MaxFloat64},
-		} {
-			if got := adv.Infer(ShapeSpin, 35, tc.wait, svc).Procs; got != mc.m.Procs() {
-				t.Errorf("%s wait=%s: inferred procs = %d, want %d", mc.name, tc.name, got, mc.m.Procs())
-			}
-			if a := adv.Advise(ShapeSpin, 35, tc.wait, svc); a.Shape < ref.Shape {
-				t.Errorf("%s wait=%s: advice %v is less contended than %v for wait=1e5 (advice %+v)",
-					mc.name, tc.name, a.Shape, ref.Shape, a)
-			}
-		}
 	}
 }
 

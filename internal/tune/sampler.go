@@ -77,5 +77,5 @@ func Attach(eng *sim.Engine, home *sim.Resource, probe func() Counters, c *Contr
 		pl.Add(s)
 		return
 	}
-	eng.Every(c.p.Period, s.Tick)
+	eng.Every(Period, s.Tick)
 }

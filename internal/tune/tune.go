@@ -1,9 +1,11 @@
 // Package tune closes the feedback loop the paper leaves open: instead of
 // hard-coding the backoff cap (the kernel's 35us) and the spin-vs-queue
-// choice per lock, a Controller consumes the windowed telemetry PR 1 built
-// — home-module utilization from sim.Resource windows and per-lock
-// acquire-latency and fast-path counters — and adjusts the constants at
-// runtime.
+// choice per lock, a Controller consumes the simulator's windowed
+// telemetry — home-module utilization from sim.Resource windows and
+// per-lock acquire-latency and fast-path counters — and adjusts the
+// constants at runtime. The controller's own thresholds are fixed package
+// constants; only the cap ceiling, the machine's station count and the
+// sampling plane are parameters (Params).
 //
 // The policy follows the paper's §2.1/§4.2 analysis with one measured
 // refinement. Two signals drive the backoff cap:
@@ -42,12 +44,6 @@
 // which are free to change, while the placement daemon and replicator move
 // or copy kernel data, which charges real traffic — hence their extra
 // payback and budget guards.
-//
-// Since PR 10 the controller also has a model-driven mode: when
-// Params.Model carries a calibrated model.Advisor, the reactive walk is
-// replaced by analytic pricing — the controller infers the operating point
-// from its windowed signals, asks the advisor for the predicted-best shape
-// and backoff cap, and jumps straight there (see Observe).
 package tune
 
 import (
@@ -55,7 +51,6 @@ import (
 	"strings"
 
 	"hurricane/internal/autonomic"
-	"hurricane/internal/model"
 	"hurricane/internal/sim"
 )
 
@@ -88,132 +83,88 @@ func (m Mode) String() string {
 	return "spin"
 }
 
-// Params bounds the controller. The zero value takes defaults.
-type Params struct {
-	// Period is the sampling window (default 100us). Shorter windows react
-	// faster; longer windows smooth transient bursts.
-	Period sim.Duration
+// The controller's fixed constants: the thresholds and bounds of the cap
+// law and the mode chain. Every tuned lock runs at these values.
+const (
+	// Period is the sampling window of a self-scheduled sampler. Shorter
+	// windows react faster; longer windows smooth transient bursts. A
+	// plane-scheduled sampler ticks at the plane's period instead.
+	Period sim.Duration = 100 * sim.CyclesPerMicrosecond
 	// SatHigh is the home-module utilization above which the module counts
 	// as saturating: the cap doubles, and if the cap is already at MaxCap
-	// the lock crosses over to queue mode (default 0.70 — between the
-	// holder-only baseline and the ~1.0 a saturated small-cap spin lock
-	// measures).
-	SatHigh float64
+	// the lock crosses over to queue mode. It sits between the holder-only
+	// baseline and the ~1.0 a saturated small-cap spin lock measures.
+	SatHigh = 0.70
 	// SatLow is the utilization below which a queue-mode lock returns to
-	// spinning (default 0.45). The [SatLow, SatHigh] gap is the mode
-	// hysteresis band.
-	SatLow float64
+	// spinning. The [SatLow, SatHigh] gap is the mode hysteresis band.
+	SatLow = 0.45
 	// WaitFactor scales the windowed mean acquire latency into the cap
 	// target: the cap climbs while below half the target and decays while
-	// above double it (default 1.0).
-	WaitFactor float64
-	// MinCap and MaxCap clamp the backoff cap (defaults 8us and 2ms — the
-	// two ends of the paper's own Figure 5 sweep).
-	MinCap, MaxCap sim.Duration
+	// above double it.
+	WaitFactor = 1.0
+	// MinCap is the smallest backoff cap, and DefaultMaxCap the largest
+	// when Params.MaxCap is zero — the two ends of the paper's own Figure 5
+	// sweep.
+	MinCap        sim.Duration = 8 * sim.CyclesPerMicrosecond
+	DefaultMaxCap sim.Duration = 2000 * sim.CyclesPerMicrosecond
 	// MinHead and MaxHead clamp the queue head's polling backoff in queue
-	// mode (defaults 2us and 64us).
-	MinHead, MaxHead sim.Duration
+	// and cohort modes.
+	MinHead sim.Duration = 2 * sim.CyclesPerMicrosecond
+	MaxHead sim.Duration = 64 * sim.CyclesPerMicrosecond
+	// RingFrac is the smoothed cross-station acquisition fraction above
+	// which a saturated queue-mode lock escalates to cohort mode. The
+	// fraction is measured ring traffic — the share of acquisitions
+	// arriving from stations other than the lock's home — so the escalation
+	// fires only when ring-crossing hand-offs really are the traffic, not
+	// merely because the machine has stations to spare.
+	RingFrac = 0.5
+	// CohortWait is the ring-bound escalation threshold, the unconstrained
+	// spin stance's largest backoff: in queue mode, a smoothed mean acquire
+	// wait at or above it while ring traffic exceeds RingFrac escalates to
+	// cohort mode even though the home module looks idle. On a large
+	// machine the ring serializes hand-offs while the home module sleeps,
+	// so the utilization signal alone reads that regime as "contention
+	// gone" and thrashes queue<->spin. It is an absolute duration,
+	// deliberately not tied to Params.MaxCap: a latency-bounded deployment
+	// clamps MaxCap far below any wait that should force the cohort shape.
+	CohortWait sim.Duration = 2000 * sim.CyclesPerMicrosecond
+	// DwellWindows is the minimum number of observation windows between
+	// mode switches (the EWMA horizon). A switch resets the smoothed
+	// signals, and the dwell holds the new mode until the fresh windows can
+	// speak, so stale pre-switch samples can never bounce the mode straight
+	// back.
+	DwellWindows = 4
+	// LogLimit bounds the retained decision log.
+	LogLimit = 256
+)
+
+// Params bounds the controller. The zero value takes defaults.
+type Params struct {
+	// MaxCap clamps the backoff cap from above (default DefaultMaxCap). A
+	// latency-bounded deployment lowers it; the controller then crosses
+	// to queue mode sooner, since it cannot back off further.
+	MaxCap sim.Duration
 	// Stations is the machine's station count. Cohort mode only exists on
 	// hierarchical machines, so it is reachable only when Stations > 1
 	// (default 1: disabled).
 	Stations int
-	// RingFrac is the smoothed cross-station acquisition fraction above
-	// which a saturated queue-mode lock escalates to cohort mode (default
-	// 0.5). The fraction is measured ring traffic — the share of
-	// acquisitions arriving from stations other than the lock's home — so
-	// the escalation fires only when ring-crossing hand-offs really are the
-	// traffic, not merely because the machine has stations to spare.
-	RingFrac float64
-	// CohortWait is the ring-bound escalation threshold (default 2ms, the
-	// unconstrained spin stance's largest backoff): in queue mode, a
-	// smoothed mean acquire wait at or above it while ring traffic exceeds
-	// RingFrac escalates to cohort mode even though the home module looks
-	// idle. On a large machine the ring serializes hand-offs while the
-	// home module sleeps, so the utilization signal alone reads that
-	// regime as "contention gone" and thrashes queue<->spin. It is an
-	// absolute duration, deliberately not tied to MaxCap: a
-	// latency-bounded deployment clamps MaxCap far below any wait that
-	// should force the cohort shape.
-	CohortWait sim.Duration
-	// StartMode is the lock shape the controller begins in (default
-	// ModeSpin — the optimistic stance). A deployment that knows its locks
-	// open contended — a saturated server, say — warm-starts at ModeQueue
-	// and skips the first escalation ramp; the controller still walks the
-	// mode chain both ways from wherever it starts.
-	StartMode Mode
-	// DwellWindows is the minimum number of observation windows between
-	// mode switches (default 4 — the EWMA horizon). A switch resets the
-	// smoothed signals, and the dwell holds the new mode until the fresh
-	// windows can speak, so stale pre-switch samples can never bounce the
-	// mode straight back.
-	DwellWindows int
-	// LogLimit bounds the retained decision log (default 256; 0 takes the
-	// default, negative disables logging).
-	LogLimit int
 	// Plane, when non-nil, registers the controller's sampler on the shared
 	// autonomics plane instead of a private Engine.Every daemon: the plane's
 	// single cadence then ticks it alongside the placement and replication
 	// policies, so each phase observes the others' actions. The plane's
-	// period rules; Period is ignored for a plane-scheduled sampler.
+	// period rules; Period applies only to a self-scheduled sampler.
 	Plane *autonomic.Plane
-	// Model, when non-nil, switches the controller to model-driven mode:
-	// instead of walking the cap multiplicatively and escalating through
-	// the mode chain on saturation evidence, each decision window infers
-	// the operating point (contenders, hold) from the measured wait and
-	// completion interval, prices the candidate shapes through the
-	// calibrated advisor, and jumps straight to the predicted-best mode
-	// and backoff cap. Dwell hysteresis and the signal reset on mode
-	// switches still apply — the model prices regimes, the dwell keeps
-	// estimate noise from flapping the mode. The advisor's cap bounds
-	// should match MinCap/MaxCap.
-	Model *model.Advisor
 }
 
 func (p Params) withDefaults() Params {
-	if p.Period == 0 {
-		p.Period = sim.Micros(100)
-	}
-	if p.SatHigh == 0 {
-		p.SatHigh = 0.70
-	}
-	if p.SatLow == 0 {
-		p.SatLow = 0.45
-	}
-	if p.WaitFactor == 0 {
-		p.WaitFactor = 1.0
-	}
-	if p.MinCap == 0 {
-		p.MinCap = sim.Micros(8)
-	}
 	if p.MaxCap == 0 {
-		p.MaxCap = sim.Micros(2000)
-	}
-	if p.MinHead == 0 {
-		p.MinHead = sim.Micros(2)
-	}
-	if p.MaxHead == 0 {
-		p.MaxHead = sim.Micros(64)
+		p.MaxCap = DefaultMaxCap
 	}
 	if p.Stations == 0 {
 		p.Stations = 1
 	}
-	if p.RingFrac == 0 {
-		p.RingFrac = 0.5
-	}
-	if p.CohortWait == 0 {
-		p.CohortWait = sim.Micros(2000)
-	}
-	if p.DwellWindows == 0 {
-		p.DwellWindows = 4
-	}
-	if p.LogLimit == 0 {
-		p.LogLimit = 256
-	}
 	return p
 }
-
-// DefaultParams returns the defaulted parameter set.
-func DefaultParams() Params { return Params{}.withDefaults() }
 
 // waitDecay is the per-window retention of the decayed wait sums and the
 // utilization EWMA (a ~4 window horizon); waitDenFloor is the decayed-
@@ -223,13 +174,6 @@ const (
 	waitDecay    = 0.75
 	waitDenFloor = 0.5
 )
-
-// ewmaHorizon is the number of windows the 0.75-retention smoothing takes
-// to mostly forget an old regime (0.75^4 ≈ 0.32). The model-driven mode
-// requires the advised cap to have been stable for this long before it
-// will act on a shape recommendation: any shorter and the wait/svc
-// evidence still reflects the cap the advisor already rejected.
-const ewmaHorizon = 4
 
 // Counters is the cumulative per-lock telemetry a sampling hook reads;
 // the sampler diffs successive snapshots into per-window Samples. All
@@ -321,15 +265,6 @@ type Controller struct {
 	// genuinely idle lock shows neither — only the latter may walk the
 	// mode chain back down.
 	att autonomic.DecayedSum
-	// svc decays window length over completed acquisitions: the smoothed
-	// completion interval. Under the saturated closed loop one round
-	// completes every hold + overhead, so this is the model-driven mode's
-	// estimate of H + C — the denominator that turns the measured wait
-	// into an inferred contender count (model.Advisor.Infer). Only
-	// consulted when Params.Model is set.
-	svc autonomic.DecayedRatio
-	// lastNow is the previous sample time, for svc's window length.
-	lastNow sim.Time
 	// util smooths home-module utilization over the same horizon. Windowed
 	// spin-lock utilization is bimodal too: each completed acquisition
 	// restarts the winner's backoff at 1us, so windows catching a restart
@@ -347,37 +282,23 @@ type Controller struct {
 	// the dwell also covers the windows the fresh EWMA needs to mean
 	// anything.
 	dwell autonomic.Dwell
-	// capSettled counts consecutive model-mode windows in which the
-	// advised cap agreed (within 2x) with the cap already in force; a
-	// shape switch waits for a full smoothing horizon of agreement.
-	capSettled int
-	// rec and recRun track the advisor's current non-incumbent shape
-	// recommendation and how many consecutive ready windows it has
-	// persisted; recProcs is the contender count the last confirmation
-	// window inferred. A shape switch waits for a full horizon of the same
-	// recommendation at a stable inferred operating point.
-	rec      Mode
-	recRun   int
-	recProcs int
 	// switches counts mode transitions; samples counts observations.
 	switches, samples uint64
 	log               []Decision
 }
 
-// NewController builds a controller starting in Params.StartMode (spin by
-// default) at MinCap — the optimistic stance: assume no contention until
-// the measurements say otherwise.
+// NewController builds a controller starting in spin mode at MinCap — the
+// optimistic stance: assume no contention until the measurements say
+// otherwise.
 func NewController(p Params) *Controller {
-	p = p.withDefaults()
 	return &Controller{
-		p: p, mode: p.StartMode, cap: p.MinCap, head: p.MinHead,
+		p: p.withDefaults(), mode: ModeSpin, cap: MinCap, head: MinHead,
 		wait:  autonomic.DecayedRatio{Decay: waitDecay, Floor: waitDenFloor},
 		ring:  autonomic.DecayedRatio{Decay: waitDecay, Floor: waitDenFloor},
-		svc:   autonomic.DecayedRatio{Decay: waitDecay, Floor: waitDenFloor},
 		att:   autonomic.DecayedSum{Decay: waitDecay},
 		util:  autonomic.EWMA{Decay: waitDecay},
-		band:  autonomic.Band{Low: p.SatLow, High: p.SatHigh},
-		dwell: autonomic.Dwell{Windows: p.DwellWindows},
+		band:  autonomic.Band{Low: SatLow, High: SatHigh},
+		dwell: autonomic.Dwell{Windows: DwellWindows},
 	}
 }
 
@@ -393,7 +314,8 @@ func (c *Controller) BackoffCap() sim.Duration { return c.cap }
 // HeadBackoff reports the current cap on queue-head polling.
 func (c *Controller) HeadBackoff() sim.Duration { return c.head }
 
-// Switches reports how many spin<->queue transitions have occurred.
+// Switches reports how many mode transitions have occurred, in any
+// direction along the spin, queue and cohort chain.
 func (c *Controller) Switches() uint64 { return c.switches }
 
 // RingFrac reports the smoothed cross-station acquisition fraction.
@@ -416,16 +338,16 @@ func (c *Controller) Samples() uint64 { return c.samples }
 // cap.
 func (p Params) NextCap(prev sim.Duration, util, waitUS float64) sim.Duration {
 	p = p.withDefaults()
-	target := sim.Micros(p.WaitFactor * waitUS)
+	target := sim.Micros(WaitFactor * waitUS)
 	next := prev
 	switch {
-	case util >= p.SatHigh || target >= 2*prev:
+	case util >= SatHigh || target >= 2*prev:
 		next = prev * 2
 	case target <= prev/2:
 		next = prev / 2
 	}
-	if next < p.MinCap {
-		next = p.MinCap
+	if next < MinCap {
+		next = MinCap
 	}
 	if next > p.MaxCap {
 		next = p.MaxCap
@@ -437,28 +359,21 @@ func (p Params) NextCap(prev sim.Duration, util, waitUS float64) sim.Duration {
 // polling cap. Only the utilization signal drives it: in queue mode the
 // head is the sole poller, so its wait reflects hold time, not bandwidth
 // pressure.
-func (p Params) nextHead(prev sim.Duration, util float64) sim.Duration {
+func nextHead(prev sim.Duration, util float64) sim.Duration {
 	next := prev
 	switch {
-	case util >= p.SatHigh:
+	case util >= SatHigh:
 		next = prev * 2
-	case util <= p.SatLow:
+	case util <= SatLow:
 		next = prev / 2
 	}
-	if next < p.MinHead {
-		next = p.MinHead
-	}
-	if next > p.MaxHead {
-		next = p.MaxHead
-	}
-	return next
+	return min(max(next, MinHead), MaxHead)
 }
 
 // Observe consumes one sampling window and updates the published constants.
 // Both signals are smoothed over a ~4-window horizon before any decision is
-// taken. With Params.Model set the decision body is the analytic advisor
-// (see adviseModel); otherwise the reactive crossover chain below runs.
-// The chain runs spin → queue → cohort as pressure grows:
+// taken. The cap walks multiplicatively (NextCap) and the mode chain runs
+// spin → queue → cohort as pressure grows:
 // spinning is abandoned only when the home module stays saturated with the
 // cap already at MaxCap — i.e. when backing off further is impossible and
 // the module still has no headroom — and queue mode escalates to the
@@ -486,55 +401,18 @@ func (c *Controller) Observe(s Sample) {
 	ringFrac := c.ring.Observe(float64(s.Lock.RemoteAcquisitions), float64(s.Lock.Acquisitions))
 	c.att.Add(float64(s.Lock.Attempts))
 	util := c.util.Observe(s.HomeUtil)
-	c.svc.Observe(float64(s.Now-c.lastNow), float64(s.Lock.Acquisitions))
-	c.lastNow = s.Now
-	ready := c.dwell.Ready()
-	if c.p.Model != nil {
-		c.adviseModel(util, waitUS, ready, s.Lock.Acquisitions > 0)
-	} else {
-		c.reactive(util, waitUS, ringFrac, ready)
-	}
-	if c.mode != prevMode {
-		c.switches++
-		// Start the new mode from clean windows: drop the old-mode wait
-		// mass (the estimate freezes until fresh acquisitions arrive) and
-		// restart the utilization EWMA from the neutral mid-band. The
-		// completion-interval estimate resets too: it measured the old
-		// protocol's overhead.
-		c.wait.Reset()
-		c.ring.Clear()
-		c.svc.Reset()
-		// att is deliberately NOT reset: it only ever blocks a retreat,
-		// and the attempts backlog it carries across a switch is exactly the
-		// evidence that waiters from the old mode are still in flight.
-		c.util.Set(c.band.Mid())
-		c.dwell.Arm()
-	}
-	if c.p.LogLimit > 0 && len(c.log) < c.p.LogLimit {
-		c.log = append(c.log, Decision{
-			At: s.Now, HomeUtil: s.HomeUtil, UtilEWMA: util, WaitUS: waitUS,
-			FailFrac: s.failFrac(), RingFrac: c.ring.Value(),
-			Cap: c.cap, Head: c.head, Mode: c.mode,
-		})
-	}
-}
-
-// reactive is the feedback decision body: the multiplicative cap walk and
-// the evidence-gated spin -> queue -> cohort mode chain described on
-// Observe.
-func (c *Controller) reactive(util, waitUS, ringFrac float64, ready bool) {
 	atMax := c.cap == c.p.MaxCap
 	c.cap = c.p.NextCap(c.cap, util, waitUS)
-	c.head = c.p.nextHead(c.head, util)
-	if ready {
+	c.head = nextHead(c.head, util)
+	if c.dwell.Ready() {
 		// ringBound: most acquisitions arrive over the ring AND the mean
 		// wait is past the CohortWait threshold. Home-module utilization
 		// cannot see this regime — on a large machine the ring serializes
 		// hand-offs while the home module idles — so without this signal
 		// the controller reads the idle module as "contention gone" and
 		// thrashes queue<->spin forever.
-		ringBound := c.p.Stations > 1 && ringFrac >= c.p.RingFrac &&
-			waitUS >= c.p.CohortWait.Microseconds()
+		ringBound := c.p.Stations > 1 && ringFrac >= RingFrac &&
+			waitUS >= CohortWait.Microseconds()
 		// wedged: attempts keep arriving but nothing completes — a queue
 		// still forming behind a convoy, not an idle lock. A low home-module
 		// reading in this state means the ring (or the queue hand-off
@@ -549,7 +427,7 @@ func (c *Controller) reactive(util, waitUS, ringFrac float64, ready bool) {
 		case ModeQueue:
 			switch {
 			case ringBound,
-				c.band.Above(util) && c.p.Stations > 1 && ringFrac >= c.p.RingFrac:
+				c.band.Above(util) && c.p.Stations > 1 && ringFrac >= RingFrac:
 				// Saturated with local-only spinning AND most acquisitions
 				// arrive over the ring: hand-off traffic itself is the load,
 				// which is what station-batched cohort grants relieve.
@@ -568,144 +446,30 @@ func (c *Controller) reactive(util, waitUS, ringFrac float64, ready bool) {
 			// half-threshold hysteresis band under the CohortWait that
 			// forced the escalation.
 			if c.band.Below(util) && !wedged &&
-				waitUS < c.p.CohortWait.Microseconds()/2 {
+				waitUS < CohortWait.Microseconds()/2 {
 				c.mode = ModeQueue
 			}
 		}
 	}
-}
-
-// adviseModel is the model-driven decision body: infer the operating
-// point from the smoothed wait and completion interval, ask the advisor
-// to price the candidate shapes, and jump to the answer. The advisor is
-// told the incumbent shape, so a recommendation to move already cleared
-// the calibration's uncertainty margin. The cap and head jumps are free
-// and happen every window (both knobs are priced by the model — the head
-// from BestHeadUS instead of the reactive utilization walk); a mode jump
-// still respects the dwell — the model prices regimes, the dwell keeps
-// one noisy inference from flapping the shape. While the smoothing
-// horizon carries no completed acquisitions (startup, or the post-switch
-// signal reset) there is no evidence to invert, and the controller holds
-// its position.
-func (c *Controller) adviseModel(util, waitUS float64, ready, fresh bool) {
-	// Saturation escape, first and unconditionally: a saturating home
-	// module with a small cap starves the very signals the inference
-	// needs — completions stall, the wait freezes or loses its mass
-	// entirely, and any advised cap would be priced at a phantom point —
-	// so the cap cannot be trusted to stay down on the model's word.
-	// Keep the reactive law's utilization half as a lower bound (double
-	// out of saturation); the model reclaims the cap the moment its
-	// signals carry mass and price a larger one. The wait-tracking half
-	// of the reactive law stays replaced: that is the half the pricing
-	// supersedes.
-	var escape sim.Duration
-	if util >= c.p.SatHigh {
-		escape = c.cap * 2
-		if escape > c.p.MaxCap {
-			escape = c.p.MaxCap
-		}
+	if c.mode != prevMode {
+		c.switches++
+		// Start the new mode from clean windows: drop the old-mode wait
+		// mass (the estimate freezes until fresh acquisitions arrive) and
+		// restart the utilization EWMA from the neutral mid-band.
+		c.wait.Reset()
+		c.ring.Clear()
+		// att is deliberately NOT reset: it only ever blocks a retreat,
+		// and the attempts backlog it carries across a switch is exactly the
+		// evidence that waiters from the old mode are still in flight.
+		c.util.Set(c.band.Mid())
+		c.dwell.Arm()
 	}
-	svcUS := c.svc.Value() / sim.CyclesPerMicrosecond
-	if c.wait.Mass() < waitDenFloor || svcUS <= 0 {
-		if escape > c.cap {
-			c.cap = escape
-		}
-		return
-	}
-	cur := model.ShapeSpin
-	switch c.mode {
-	case ModeQueue:
-		cur = model.ShapeQueue
-	case ModeCohort:
-		cur = model.ShapeCohort
-	}
-	adv := c.p.Model.Advise(cur, float64(c.cap)/sim.CyclesPerMicrosecond, waitUS, svcUS)
-	cap := sim.Micros(adv.CapUS)
-	if cap < escape {
-		cap = escape
-	}
-	if cap < c.p.MinCap {
-		cap = c.p.MinCap
-	}
-	if cap > c.p.MaxCap {
-		cap = c.p.MaxCap
-	}
-	// settled: the advised cap has agreed with the cap the measured
-	// signals were produced under (within the walk's own doubling step)
-	// for a full smoothing horizon. A large cap jump means the horizon's
-	// svc and wait were measured at a cap the advisor has just rejected —
-	// the startup windows, with the cap still at MinCap, are the canonical
-	// case: a 64-processor storm on an 8us cap inflates the completion
-	// interval, the inference reads the excess as hold time, and a mode
-	// decision on that evidence jumps at a regime that does not exist.
-	// Let the cap land first and the smoothed signals re-converge under
-	// it; the shape decision follows, priced from evidence the advised
-	// cap actually produced.
-	if cap <= c.cap*2 && c.cap <= cap*2 {
-		c.capSettled++
-	} else {
-		c.capSettled = 0
-	}
-	settled := c.capSettled >= ewmaHorizon
-	c.cap = cap
-	head := sim.Micros(adv.HeadUS)
-	if head < c.p.MinHead {
-		head = c.p.MinHead
-	}
-	if head > c.p.MaxHead {
-		head = c.p.MaxHead
-	}
-	c.head = head
-	target := c.mode
-	switch adv.Shape {
-	case model.ShapeQueue:
-		target = ModeQueue
-	case model.ShapeCohort:
-		// The advisor already gates cohort on a multi-station machine, but
-		// the controller's own Stations bound rules (a deployment may
-		// disable the shape outright).
-		if c.p.Stations > 1 {
-			target = ModeCohort
-		} else {
-			target = ModeQueue
-		}
-	default:
-		target = ModeSpin
-	}
-	// Confirmation: one window's inversion can land on a phantom operating
-	// point (the startup storm is the canonical case — wait and completion
-	// interval are both storm-dominated, so their ratio reads as two
-	// processors with an enormous hold). A single closed form cannot tell
-	// that window from a real regime, but a real regime persists: require
-	// the same non-incumbent recommendation across a full smoothing
-	// horizon of ready windows before acting on it. Phantom points decay
-	// with the storm that produced them; real crossings don't.
-	// A window with no completed acquisitions carries no new evidence —
-	// the wait estimate is frozen and the completion interval only grew —
-	// so it neither advances nor resets the run. A window whose inferred
-	// contender count disagrees with the previous confirmation window's
-	// restarts it: during the startup ramp the inferred point climbs every
-	// window as the wait backlog rotates into the estimate, and a
-	// recommendation priced at a still-moving point is a recommendation
-	// about a regime that is still arriving.
-	if target == c.mode {
-		c.recRun = 0
-	} else if ready && fresh {
-		dp := adv.Procs - c.recProcs
-		if dp < 0 {
-			dp = -dp
-		}
-		stable := dp <= 1 || dp*4 <= adv.Procs
-		if target == c.rec && stable {
-			c.recRun++
-		} else {
-			c.rec, c.recRun = target, 1
-		}
-		c.recProcs = adv.Procs
-	}
-	if ready && settled && c.recRun >= ewmaHorizon && target != c.mode {
-		c.mode = target
-		c.recRun = 0
+	if len(c.log) < LogLimit {
+		c.log = append(c.log, Decision{
+			At: s.Now, HomeUtil: s.HomeUtil, UtilEWMA: util, WaitUS: waitUS,
+			FailFrac: s.failFrac(), RingFrac: c.ring.Value(),
+			Cap: c.cap, Head: c.head, Mode: c.mode,
+		})
 	}
 }
 

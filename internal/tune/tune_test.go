@@ -13,7 +13,7 @@ import (
 // yields a lower cap. Raising offered load raises both signals, so offered
 // load can never lower the chosen backoff cap.
 func TestNextCapMonotoneInLoad(t *testing.T) {
-	p := DefaultParams()
+	p := Params{}.withDefaults()
 	f := func(prevRaw uint32, a, b, wa, wb float64) bool {
 		u1, u2 := normUtil(a), normUtil(b)
 		if u1 > u2 {
@@ -23,7 +23,7 @@ func TestNextCapMonotoneInLoad(t *testing.T) {
 		if w1 > w2 {
 			w1, w2 = w2, w1
 		}
-		prev := p.MinCap + sim.Duration(prevRaw)%(p.MaxCap-p.MinCap+1)
+		prev := MinCap + sim.Duration(prevRaw)%(p.MaxCap-MinCap+1)
 		return p.NextCap(prev, u2, w2) >= p.NextCap(prev, u1, w1)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -56,11 +56,11 @@ func normWait(x float64) float64 {
 }
 
 func TestNextCapClamps(t *testing.T) {
-	p := DefaultParams()
+	p := Params{}.withDefaults()
 	if got := p.NextCap(p.MaxCap, 1.0, 4000); got != p.MaxCap {
 		t.Fatalf("cap above MaxCap: %v", got)
 	}
-	if got := p.NextCap(p.MinCap, 0.0, 0); got != p.MinCap {
+	if got := p.NextCap(MinCap, 0.0, 0); got != MinCap {
 		t.Fatalf("cap below MinCap: %v", got)
 	}
 	// A wait near the current cap holds it (the factor-of-two dead band),
@@ -80,12 +80,12 @@ func TestNextCapClamps(t *testing.T) {
 	}
 	// A short wait shrinks an overshot cap even while the module sits
 	// inside the mode-hysteresis band — only saturation pins the cap up.
-	mid := (p.SatLow + p.SatHigh) / 2
+	mid := (SatLow + SatHigh) / 2
 	if got := p.NextCap(prev, mid, 0); got != prev/2 {
 		t.Fatalf("overshot cap did not decay below saturation: %v", got)
 	}
 	// At saturation the same short wait cannot shrink it.
-	if got := p.NextCap(prev, p.SatHigh, 0); got != 2*prev {
+	if got := p.NextCap(prev, SatHigh, 0); got != 2*prev {
 		t.Fatalf("cap at saturation with short wait = %v, want %v", got, 2*prev)
 	}
 }
@@ -115,7 +115,7 @@ func TestCrossoverRequiresSaturationAtMaxCap(t *testing.T) {
 		t.Fatal("did not cross over at MaxCap under saturation")
 	}
 	// Inside the hysteresis band: stays queued.
-	c.Observe(Sample{HomeUtil: (p.SatLow + p.SatHigh) / 2})
+	c.Observe(Sample{HomeUtil: (SatLow + SatHigh) / 2})
 	if c.Mode() != ModeQueue {
 		t.Fatal("left queue mode inside the hysteresis band")
 	}
@@ -165,8 +165,7 @@ func TestModeSwitchResetsEWMAWindows(t *testing.T) {
 	}
 	// The utilization EWMA restarted from the neutral mid-band, not the
 	// saturated pre-switch value.
-	p := c.Params()
-	mid := (p.SatLow + p.SatHigh) / 2
+	mid := (SatLow + SatHigh) / 2
 	if want := waitDecay*mid + (1-waitDecay)*0.30; log[len(log)-1].UtilEWMA != want {
 		t.Fatalf("post-switch util EWMA = %.3f, want %.3f (restarted from mid-band)",
 			log[len(log)-1].UtilEWMA, want)
@@ -177,7 +176,7 @@ func TestModeSwitchResetsEWMAWindows(t *testing.T) {
 // un-dwelled controller would flap, and asserts the mode never switches
 // twice within one dwell period.
 func TestHysteresisOneSwitchPerDwell(t *testing.T) {
-	c := NewController(Params{LogLimit: 1024})
+	c := NewController(Params{})
 	saturateToQueue(t, c, Counters{})
 	// Alternate saturated and idle phases, each shorter than the EWMA
 	// horizon plus dwell, for many windows.
@@ -190,15 +189,14 @@ func TestHysteresisOneSwitchPerDwell(t *testing.T) {
 	}
 	log := c.Log()
 	last, seen := -1, 0
-	dwell := c.Params().DwellWindows
 	for i := 1; i < len(log); i++ {
 		if log[i].Mode == log[i-1].Mode {
 			continue
 		}
 		seen++
-		if last >= 0 && i-last < dwell {
+		if last >= 0 && i-last < DwellWindows {
 			t.Fatalf("modes switched %d windows apart (< dwell %d): windows %d and %d",
-				i-last, dwell, last, i)
+				i-last, DwellWindows, last, i)
 		}
 		last = i
 	}
@@ -331,7 +329,7 @@ func TestCapDecaysToMinUnderIdle(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.Observe(Sample{HomeUtil: 0.0})
 	}
-	if c.BackoffCap() != c.Params().MinCap {
+	if c.BackoffCap() != MinCap {
 		t.Fatalf("cap after sustained idle = %v, want MinCap", c.BackoffCap())
 	}
 	if c.Mode() != ModeSpin {
@@ -404,17 +402,18 @@ func TestCapStableUnderBimodalWait(t *testing.T) {
 func TestAttachSamplesUtilization(t *testing.T) {
 	eng := sim.NewEngine()
 	res := &sim.Resource{Name: "module0"}
-	c := NewController(Params{Period: 100})
+	c := NewController(Params{})
 	var utils []float64
 	// Shadow controller observation via the log.
 	Attach(eng, res, func() Counters { return Counters{} }, c)
-	// Window 1 [0,100]: 50 busy cycles. Window 2 [100,200]: reset at 150.
-	// Window 3 [200,300]: 30 busy cycles.
-	eng.At(0, func() { res.Acquire(0, 50) })
-	eng.At(140, func() { res.Acquire(140, 10) })
-	eng.At(150, func() { res.ResetStats(150) })
-	eng.At(210, func() { res.Acquire(210, 30) })
-	eng.At(301, func() {}) // keep the run alive through the third window
+	// Event times in hundredths of a sampling Period. Window 1 [0,100]: 50
+	// busy. Window 2 [100,200]: reset at 150. Window 3 [200,300]: 30 busy.
+	at := func(x sim.Time) sim.Time { return x * Period / 100 }
+	eng.At(0, func() { res.Acquire(0, at(50)) })
+	eng.At(at(140), func() { res.Acquire(at(140), at(10)) })
+	eng.At(at(150), func() { res.ResetStats(at(150)) })
+	eng.At(at(210), func() { res.Acquire(at(210), at(30)) })
+	eng.At(at(301), func() {}) // keep the run alive through the third window
 	eng.RunAll()
 	for _, d := range c.Log() {
 		utils = append(utils, d.HomeUtil)
@@ -437,16 +436,16 @@ func TestAttachSamplesUtilization(t *testing.T) {
 func TestAttachDiffsLockCounters(t *testing.T) {
 	eng := sim.NewEngine()
 	res := &sim.Resource{Name: "module0"}
-	c := NewController(Params{Period: 100})
+	c := NewController(Params{})
 	cum := Counters{}
 	Attach(eng, res, func() Counters { return cum }, c)
-	eng.At(10, func() {
+	eng.At(Period/10, func() {
 		cum = Counters{Attempts: 5, Failures: 2, Acquisitions: 3, WaitCycles: 90}
 	})
-	eng.At(110, func() {
+	eng.At(Period+Period/10, func() {
 		cum = Counters{Attempts: 9, Failures: 2, Acquisitions: 7, WaitCycles: 150}
 	})
-	eng.At(201, func() {})
+	eng.At(2*Period+1, func() {})
 	eng.RunAll()
 	log := c.Log()
 	if len(log) != 2 {
