@@ -3,9 +3,13 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-wall results bench-diff bench-baseline jobs-equiv perfbench-test trace-smoke server-smoke autonomic-smoke model-smoke fuzz-smoke doc-lint profile
+.PHONY: ci fmt vet build test race bench bench-wall results quick-jobs1 quick-jobs8 bench-diff bench-baseline jobs-equiv perfbench-test trace-smoke server-smoke autonomic-smoke model-smoke fuzz-smoke doc-lint profile
 
-ci: vet build test race bench-diff jobs-equiv perfbench-test trace-smoke server-smoke autonomic-smoke model-smoke fuzz-smoke doc-lint
+ci: fmt vet build test race bench-diff jobs-equiv perfbench-test trace-smoke server-smoke autonomic-smoke model-smoke fuzz-smoke doc-lint
+
+# Every Go file must be gofmt-clean; the offending names go to stderr.
+fmt:
+	test -z "$$(gofmt -l .)" || { gofmt -l . >&2; false; }
 
 vet:
 	$(GO) vet ./...
@@ -45,20 +49,30 @@ bench-wall:
 results:
 	$(GO) run ./cmd/hurricane-bench | tee results_full.txt
 
-# Regression gate: regenerate the quick summary and compare it against the
-# checked-in baseline; fails on >5% regression in any us-unit figure
-# metric. The simulation is deterministic, so an unchanged tree diffs
-# exactly.
-bench-diff:
-	$(GO) run ./cmd/hurricane-bench -quick -json BENCH_sim.json > /dev/null
-	$(GO) run ./cmd/bench-diff
+# The quick suite's summary, run serially and on an 8-way pool. Each is
+# produced once per make invocation (the targets are phony, so a stale file
+# from an earlier run is never trusted) and shared by every gate below that
+# reads quick-suite metrics: jobs-equiv compares the two, bench-diff and
+# the server, autonomic and model smokes read the jobs-8 file.
+QUICK1 := /tmp/hurricane_jobs1.json
+QUICK8 := /tmp/hurricane_jobs8.json
+
+quick-jobs1:
+	$(GO) run ./cmd/hurricane-bench -quick -jobs 1 -json $(QUICK1) > /dev/null
+
+quick-jobs8:
+	$(GO) run ./cmd/hurricane-bench -quick -jobs 8 -json $(QUICK8) > /dev/null
+
+# Regression gate: compare the quick summary against the checked-in
+# baseline; fails on >5% regression in any us-unit figure metric. The
+# simulation is deterministic, so an unchanged tree diffs exactly.
+bench-diff: quick-jobs8
+	$(GO) run ./cmd/bench-diff -current $(QUICK8)
 
 # Determinism gate for the worker pool: the quick summary must be
 # byte-identical when cells run serially and on an 8-way pool.
-jobs-equiv:
-	$(GO) run ./cmd/hurricane-bench -quick -jobs 1 -json /tmp/hurricane_jobs1.json > /dev/null
-	$(GO) run ./cmd/hurricane-bench -quick -jobs 8 -json /tmp/hurricane_jobs8.json > /dev/null
-	cmp /tmp/hurricane_jobs1.json /tmp/hurricane_jobs8.json
+jobs-equiv: quick-jobs1 quick-jobs8
+	cmp $(QUICK1) $(QUICK8)
 	@echo "jobs-equiv: -jobs 1 and -jobs 8 summaries are byte-identical"
 
 # The benchmark harness is its own Go module, so `go test ./...` above never
@@ -85,24 +99,22 @@ trace-smoke:
 # server run must report a populated sojourn tail and per-tenant skew,
 # and the quick server sweep must publish p999 + rank-divergence metrics
 # on both machines.
-server-smoke:
-	$(GO) run ./cmd/lockstat -run server -tune -ms 6 > /tmp/hurricane_server.txt
+server-smoke: quick-jobs8
+	$(GO) run ./cmd/lockstat -run server -lock tuned -ms 6 > /tmp/hurricane_server.txt
 	grep -Eq "sojourn \(us\): n=[1-9][0-9]* mean=[0-9.]+ p50=[0-9.]+ p95=[0-9.]+ p99=[0-9.]+ p999=[0-9.]+" /tmp/hurricane_server.txt
 	grep -q "per-tenant" /tmp/hurricane_server.txt
 	grep -q "kernel lock controller" /tmp/hurricane_server.txt
-	$(GO) run ./cmd/hurricane-bench -quick -run '^server$$' -json /tmp/hurricane_server.json > /dev/null
-	grep -q '"hector16.CNA.p999"' /tmp/hurricane_server.json
-	grep -q '"numachine64.Tuned.p999"' /tmp/hurricane_server.json
-	grep -q '"hector16.rank_divergence"' /tmp/hurricane_server.json
+	grep -q '"hector16.CNA.p999"' $(QUICK8)
+	grep -q '"numachine64.Tuned.p999"' $(QUICK8)
+	grep -q '"hector16.rank_divergence"' $(QUICK8)
 	@echo "server-smoke: open-loop server harness reports tail latency on both machines"
 
 # End-to-end check of the kernel autonomics plane: the combined
 # tune+migrate+replicate run must beat every single policy on the mixed
 # tenant workload (the tentpole acceptance metric), and both interactive
 # harnesses must run the full plane under one cadence.
-autonomic-smoke:
-	$(GO) run ./cmd/hurricane-bench -quick -run '^autonomic$$' -json /tmp/hurricane_autonomic.json > /dev/null
-	grep -A 1 '"hector16.combined_wins"' /tmp/hurricane_autonomic.json | grep -q '"value": 3'
+autonomic-smoke: quick-jobs8
+	grep -A 1 '"hector16.combined_wins"' $(QUICK8) | grep -q '"value": 3'
 	$(GO) run ./cmd/clustersim -size 16 -procs 4 -rounds 8 -autonomic > /tmp/hurricane_autosim.txt
 	grep -q "autonomics plane" /tmp/hurricane_autosim.txt
 	grep -Eq "replication policy: [0-9]+ windows, [1-9]" /tmp/hurricane_autosim.txt
@@ -114,14 +126,13 @@ autonomic-smoke:
 # calibrate-and-validate cell must fit residuals, rank the lock zoo
 # correctly at every validation point on all three machines, and publish
 # the calibrated spin->queue crossover for each of them.
-model-smoke:
-	$(GO) run ./cmd/hurricane-bench -quick -run '^model$$' -json /tmp/hurricane_model.json > /dev/null
-	grep -A 1 '"hector16.rank_agreement"' /tmp/hurricane_model.json | grep -q '"value": 100'
-	grep -A 1 '"numachine64.rank_agreement"' /tmp/hurricane_model.json | grep -q '"value": 100'
-	grep -A 1 '"numachine256.rank_agreement"' /tmp/hurricane_model.json | grep -q '"value": 100'
-	grep -q '"hector16.pred_cross_spin_queue"' /tmp/hurricane_model.json
-	grep -q '"numachine64.pred_cross_spin_queue"' /tmp/hurricane_model.json
-	grep -q '"numachine256.pred_cross_spin_queue"' /tmp/hurricane_model.json
+model-smoke: quick-jobs8
+	grep -A 1 '"hector16.rank_agreement"' $(QUICK8) | grep -q '"value": 100'
+	grep -A 1 '"numachine64.rank_agreement"' $(QUICK8) | grep -q '"value": 100'
+	grep -A 1 '"numachine256.rank_agreement"' $(QUICK8) | grep -q '"value": 100'
+	grep -q '"hector16.pred_cross_spin_queue"' $(QUICK8)
+	grep -q '"numachine64.pred_cross_spin_queue"' $(QUICK8)
+	grep -q '"numachine256.pred_cross_spin_queue"' $(QUICK8)
 	@echo "model-smoke: calibrated model ranks the lock zoo correctly on all machines"
 
 # Short fuzzing pass over the tuner's pure surface: the cap law and the

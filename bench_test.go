@@ -48,7 +48,9 @@ func benchFigure5(b *testing.B, holdUS float64) {
 		b.Run(k.String(), func(b *testing.B) {
 			var r workload.LockStressResult
 			for i := 0; i < b.N; i++ {
-				r = workload.LockStress(1, k, 16, 60, sim.Micros(holdUS))
+				r = workload.LockStressRun(workload.StressConfig{
+					Machine: sim.Config{Seed: 1}, Kind: k, Procs: 16, Rounds: 60, Hold: sim.Micros(holdUS),
+				}).LockStressResult
 			}
 			b.ReportMetric(r.AcquireUS, "sim-us/acquire")
 		})

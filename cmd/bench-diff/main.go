@@ -5,22 +5,15 @@
 //	bench-diff -baseline BENCH_sim.baseline.json -current BENCH_sim.json
 //
 // Metrics with unit "us" are latencies (lower is better): the comparator
-// fails if any grows more than -tolerance (default 5%) over the baseline.
-// Other units (ratios, fractions, counts) are informational — printed when
-// they drift, never fatal. A metric present only in the baseline is a
-// non-fatal MISSING drift, but a metric present only in the current run is
-// fatal: it means the checked-in baseline was not regenerated for a new
-// experiment, so the new numbers would silently escape regression tracking
-// forever after. Pass -allow-new to downgrade that to informational (for
-// ad-hoc comparisons against an intentionally older baseline).
-// The simulation is deterministic for a fixed seed, so an unchanged tree
-// diffs exactly; any delta at all is a real behavior change. Metrics that
-// are NOT deterministic — derived from wall clock or host scheduling rather
-// than simulated time — can be granted a per-metric relative tolerance with
-// -reltol 'pattern=frac[,pattern=frac...]': a metric whose full
-// "experiment.metric" name matches a pattern (Go regexp) compares equal
-// whenever |current-baseline| <= frac*|baseline|. Everything unmatched
-// keeps the exact-match default.
+// fails if any grows more than 5% over the baseline. Other units (ratios,
+// fractions, counts) are informational — printed when they drift, never
+// fatal. A metric present only in the baseline is a non-fatal MISSING
+// drift, but a metric present only in the current run is fatal: it means
+// the checked-in baseline was not regenerated for a new experiment, so the
+// new numbers would silently escape regression tracking forever after.
+// Every metric is computed in simulated time, which is deterministic for a
+// fixed seed, so an unchanged tree diffs exactly; any delta at all is a
+// real behavior change.
 package main
 
 import (
@@ -29,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"regexp"
 	"sort"
 	"strings"
 
@@ -48,49 +40,6 @@ func load(path string) (*exp.Report, error) {
 	return &r, nil
 }
 
-// relTol is one -reltol entry: metrics whose flattened name matches re are
-// equal within frac of the baseline value.
-type relTol struct {
-	re   *regexp.Regexp
-	frac float64
-}
-
-// parseRelTol parses "pattern=frac[,pattern=frac...]". Patterns are Go
-// regexps matched (unanchored) against the "experiment.metric" name; the
-// first matching entry wins.
-func parseRelTol(spec string) ([]relTol, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var tols []relTol
-	for _, part := range strings.Split(spec, ",") {
-		eq := strings.LastIndex(part, "=")
-		if eq < 0 {
-			return nil, fmt.Errorf("-reltol entry %q: want pattern=frac", part)
-		}
-		re, err := regexp.Compile(part[:eq])
-		if err != nil {
-			return nil, fmt.Errorf("-reltol pattern %q: %v", part[:eq], err)
-		}
-		var frac float64
-		if _, err := fmt.Sscanf(part[eq+1:], "%g", &frac); err != nil || frac < 0 {
-			return nil, fmt.Errorf("-reltol entry %q: bad fraction %q", part, part[eq+1:])
-		}
-		tols = append(tols, relTol{re, frac})
-	}
-	return tols, nil
-}
-
-// within reports whether name has a -reltol entry and cur is inside it.
-func within(tols []relTol, name string, base, cur float64) bool {
-	for _, t := range tols {
-		if t.re.MatchString(name) {
-			return math.Abs(cur-base) <= t.frac*math.Abs(base)
-		}
-	}
-	return false
-}
-
 // flatten maps "experiment.metric" to the metric, so renamed experiments
 // surface as missing metrics instead of misaligned comparisons.
 func flatten(r *exp.Report) map[string]exp.Metric {
@@ -103,19 +52,14 @@ func flatten(r *exp.Report) map[string]exp.Metric {
 	return m
 }
 
+// tolerance is the fractional growth a us-unit metric may show before it
+// counts as a regression.
+const tolerance = 0.05
+
 func main() {
 	basePath := flag.String("baseline", "BENCH_sim.baseline.json", "checked-in baseline summary")
 	curPath := flag.String("current", "BENCH_sim.json", "freshly generated summary")
-	tol := flag.Float64("tolerance", 0.05, "fractional regression allowed on us-unit metrics")
-	allowNew := flag.Bool("allow-new", false, "tolerate current-run metrics absent from the baseline")
-	relSpec := flag.String("reltol", "", "per-metric relative tolerance for nondeterministic metrics: pattern=frac[,pattern=frac...]")
 	flag.Parse()
-
-	tols, err := parseRelTol(*relSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench-diff: %v\n", err)
-		os.Exit(2)
-	}
 
 	base, err := load(*basePath)
 	if err != nil {
@@ -145,11 +89,8 @@ func main() {
 		if b.Value == c.Value {
 			continue
 		}
-		if within(tols, name, b.Value, c.Value) {
-			continue
-		}
 		switch {
-		case b.Unit == "us" && b.Value > 0 && c.Value > b.Value*(1+*tol):
+		case b.Unit == "us" && b.Value > 0 && c.Value > b.Value*(1+tolerance):
 			fmt.Printf("REGRESS  %-50s %.2fus -> %.2fus (%+.1f%%)\n",
 				name, b.Value, c.Value, 100*(c.Value/b.Value-1))
 			regressions++
@@ -183,12 +124,12 @@ func main() {
 	fmt.Printf("bench-diff: %d metrics compared, %d regressions, %d improvements, %d drifts, %d new\n",
 		len(bm), regressions, improved, drifts, len(newKeys))
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "bench-diff: FAIL: %d metric(s) regressed more than %.0f%%\n", regressions, *tol*100)
+		fmt.Fprintf(os.Stderr, "bench-diff: FAIL: %d metric(s) regressed more than %.0f%%\n", regressions, tolerance*100)
 		os.Exit(1)
 	}
-	if len(newKeys) > 0 && !*allowNew {
+	if len(newKeys) > 0 {
 		fmt.Fprintf(os.Stderr, "bench-diff: FAIL: %d metric(s) missing from the baseline: %s\n", len(newKeys), strings.Join(newKeys, ", "))
-		fmt.Fprintf(os.Stderr, "bench-diff: regenerate it (make bench-baseline) or pass -allow-new\n")
+		fmt.Fprintf(os.Stderr, "bench-diff: regenerate it (make bench-baseline)\n")
 		os.Exit(1)
 	}
 }

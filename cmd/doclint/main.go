@@ -1,18 +1,18 @@
 // doclint is the documentation gate behind `make doc-lint`: it keeps the
 // prose and the code from drifting apart without a human having to notice.
 //
-//	doclint [-pkgs dir,dir,...] [-docs file,file,...]
+//	doclint    # from the repository root
 //
 // Two checks, both fatal on failure:
 //
 //  1. Godoc coverage. Every exported identifier (type, function, method,
 //     and exported struct field) in the listed packages must carry a doc
-//     comment. The packages default to the ones whose exported surface is
+//     comment. The packages are the ones whose exported surface is
 //     the contract other layers program against: internal/model,
 //     internal/autonomic, internal/tune. Grouped const/var declarations
 //     count as documented when the group has a doc comment.
 //
-//  2. Markdown anchors. Every intra-repo link in the listed markdown
+//  2. Markdown anchors. Every intra-repo link in the top-level markdown
 //     files — [text](FILE.md), [text](#heading), [text](FILE.md#heading) —
 //     must resolve: the file must exist and the fragment must match a
 //     heading's GitHub-style slug (lowercase, spaces to dashes,
@@ -32,17 +32,13 @@ import (
 )
 
 func main() {
-	pkgs := flag.String("pkgs", "internal/model,internal/autonomic,internal/tune",
-		"comma-separated package directories whose exported identifiers must be documented")
-	docs := flag.String("docs", "README.md,DESIGN.md,EXPERIMENTS.md,ROADMAP.md",
-		"comma-separated markdown files whose intra-repo links must resolve")
 	flag.Parse()
 
 	var problems []string
-	for _, dir := range strings.Split(*pkgs, ",") {
-		problems = append(problems, lintPackage(strings.TrimSpace(dir))...)
+	for _, dir := range []string{"internal/model", "internal/autonomic", "internal/tune"} {
+		problems = append(problems, lintPackage(dir)...)
 	}
-	problems = append(problems, lintMarkdown(strings.Split(*docs, ","))...)
+	problems = append(problems, lintMarkdown([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"})...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -164,7 +160,6 @@ func lintMarkdown(files []string) []string {
 	anchors := map[string]map[string]bool{}
 	var out []string
 	for _, f := range files {
-		f = strings.TrimSpace(f)
 		a, err := headingSlugs(f)
 		if err != nil {
 			out = append(out, fmt.Sprintf("%s: %v", f, err))

@@ -5,8 +5,8 @@
 //	lockstat -lock h2mcs -procs 16 -hold 25 -rounds 300
 //	lockstat -lock spin2ms -procs 16 -hold 25    # watch the starvation tail
 //	lockstat -lock spin -procs 16 -hold 25 -stats    # per-lock + per-resource telemetry
-//	lockstat -tune -procs 16 -hold 25            # feedback-tuned lock + controller decisions
-//	lockstat -tune -machine numachine64 -procs 64    # tuning on the 64-proc NUMAchine
+//	lockstat -lock tuned -procs 16 -hold 25      # feedback-tuned lock + controller decisions
+//	lockstat -lock tuned -machine numachine64 -procs 64    # tuning on the 64-proc NUMAchine
 //	lockstat -lock h2mcs -procs 4 -rounds 20 -trace out.json   # chrome://tracing / Perfetto
 //
 // With -stats, warm-up rounds (default rounds/4) are excluded from every
@@ -14,7 +14,7 @@
 // telemetry and resource utilization all cover only the measurement
 // window, so start-up transients do not dilute steady-state contention.
 //
-// With -tune (or -lock tuned), the lock is the feedback-tuned hybrid and
+// With -lock tuned, the lock is the feedback-tuned hybrid and
 // the controller's decision log is printed after the run: per sampling
 // window, the measured home-module utilization, the smoothed wait
 // estimate, and the backoff cap / mode the controller chose.
@@ -28,10 +28,11 @@
 //
 // With -autonomic, the full kernel autonomics plane runs under one shared
 // cadence: the tuned lock's controller, the placement daemon, and the
-// replication policy for read-mostly data (-tune and -migrate remain the
-// single-policy aliases). In server mode the tenants get migratable data
-// regions with a mixed read-mostly/write-hot profile — the workload the
-// combined plane exists for.
+// replication policy for read-mostly data (-autonomic sets -lock tuned
+// itself; -lock tuned and -migrate run the single policies). In server
+// mode the tenants get migratable data regions with a mixed
+// read-mostly/write-hot profile — the workload the combined plane exists
+// for.
 //
 //	lockstat -run server -autonomic -ms 20
 //
@@ -126,7 +127,6 @@ func validate(o options) error {
 
 func main() {
 	lock := flag.String("lock", "h2mcs", "mcs | h1mcs | h2mcs | spin | spin2ms | clh | adaptive | tuned | cohort | cna")
-	tuned := flag.Bool("tune", false, "shorthand for -lock tuned; prints the controller's decision log")
 	machineName := flag.String("machine", "hector16", "hector16 | numachine64")
 	procs := flag.Int("procs", 16, "contending processors")
 	holdUS := flag.Float64("hold", 25, "critical-section length in microseconds")
@@ -143,11 +143,8 @@ func main() {
 	flag.Parse()
 
 	if *auto {
-		*tuned = true
-		*migrate = true
-	}
-	if *tuned {
 		*lock = "tuned"
+		*migrate = true
 	}
 	err := validate(options{lock: *lock, machine: *machineName, run: *run, procs: *procs, home: *home,
 		rounds: *rounds, warmup: *warmup, horizonMS: *horizonMS, holdUS: *holdUS})

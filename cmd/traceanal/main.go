@@ -8,12 +8,14 @@
 //	traceanal trace.json
 //
 // The machine topology and latency weights are read from the trace's
-// otherData.machine metadata; -stations and -procs-per-station override
-// them (required for traces written without metadata).
+// otherData.machine metadata, which every lockstat and clustersim trace
+// carries. A trace without it is rejected (exit 1): guessing the machine
+// would silently misclassify every access distance.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,7 +38,16 @@ type traceFile struct {
 		TID  int                    `json:"tid"`
 		Args map[string]interface{} `json:"args"`
 	} `json:"traceEvents"`
-	OtherData map[string]interface{} `json:"otherData"`
+	OtherData struct {
+		DroppedEvents int `json:"droppedEvents"`
+		Machine       *struct {
+			Stations        int     `json:"stations"`
+			ProcsPerStation int     `json:"procsPerStation"`
+			LatLocal        float64 `json:"latLocal"`
+			LatStation      float64 `json:"latStation"`
+			LatRing         float64 `json:"latRing"`
+		} `json:"machine"`
+	} `json:"otherData"`
 }
 
 func argInt(args map[string]interface{}, key string, def int) int {
@@ -56,47 +67,37 @@ func distFromString(s string) sim.DistClass {
 	return sim.DistLocal
 }
 
-func main() {
-	stations := flag.Int("stations", 0, "override/assume station count (0 = from trace metadata)")
-	perStation := flag.Int("procs-per-station", 0, "override/assume processors per station")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: traceanal [flags] trace.json")
-		os.Exit(2)
-	}
+// analysis is a trace rebuilt into the aggregate the in-process pipeline
+// would have produced, with the topology and cost weights of the machine
+// that wrote it.
+type analysis struct {
+	events, dropped int
+	agg             *trace.Aggregate
+	topo            autonomic.Topo
+	costs           autonomic.Costs
+}
 
-	raw, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "traceanal: %v\n", err)
-		os.Exit(1)
-	}
+// analyze parses a Chrome trace written by trace.Chrome and replays its
+// events into a trace.Aggregate sized for the traced machine.
+func analyze(raw []byte) (*analysis, error) {
 	var tf traceFile
 	if err := json.Unmarshal(raw, &tf); err != nil {
-		fmt.Fprintf(os.Stderr, "traceanal: parse %s: %v\n", flag.Arg(0), err)
-		os.Exit(1)
+		return nil, fmt.Errorf("parse: %w", err)
 	}
-
-	// Topology and cost weights: trace metadata, overridable by flags.
-	topo := autonomic.Topo{Stations: 4, ProcsPerStation: 4}
-	costs := autonomic.DefaultCosts()
-	if meta, ok := tf.OtherData["machine"].(map[string]interface{}); ok {
-		topo.Stations = argInt(meta, "stations", topo.Stations)
-		topo.ProcsPerStation = argInt(meta, "procsPerStation", topo.ProcsPerStation)
-		costs = autonomic.Costs{
-			Local:   float64(argInt(meta, "latLocal", int(costs.Local))),
-			Station: float64(argInt(meta, "latStation", int(costs.Station))),
-			Ring:    float64(argInt(meta, "latRing", int(costs.Ring))),
-		}
+	meta := tf.OtherData.Machine
+	if meta == nil {
+		return nil, errors.New("no otherData.machine metadata: the machine topology is unknown")
 	}
-	if *stations > 0 {
-		topo.Stations = *stations
+	if meta.Stations < 1 || meta.ProcsPerStation < 1 {
+		return nil, fmt.Errorf("otherData.machine has %d stations of %d processors", meta.Stations, meta.ProcsPerStation)
 	}
-	if *perStation > 0 {
-		topo.ProcsPerStation = *perStation
+	a := &analysis{
+		events:  len(tf.TraceEvents),
+		dropped: tf.OtherData.DroppedEvents,
+		topo:    autonomic.Topo{Stations: meta.Stations, ProcsPerStation: meta.ProcsPerStation},
+		costs:   autonomic.Costs{Local: meta.LatLocal, Station: meta.LatStation, Ring: meta.LatRing},
 	}
-
-	// Rebuild the aggregate the in-process pipeline would have produced.
-	agg := trace.NewAggregate(topo.Modules())
+	a.agg = trace.NewAggregate(a.topo.Modules())
 	for _, ev := range tf.TraceEvents {
 		rec := sim.TraceEvent{
 			Name:  ev.Name,
@@ -129,14 +130,34 @@ func main() {
 		default:
 			rec.Kind = sim.EvInstant
 		}
-		agg.Event(rec)
+		a.agg.Event(rec)
+	}
+	return a, nil
+}
+
+func main() {
+	flag.Parse()
+	if flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: traceanal trace.json")
+		os.Exit(2)
+	}
+	path := flag.Arg(0)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "traceanal: %v\n", err)
+		os.Exit(1)
+	}
+	a, err := analyze(raw)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "traceanal: %s: %v\n", path, err)
+		os.Exit(1)
 	}
 
-	fmt.Printf("%s: %d events\n", flag.Arg(0), len(tf.TraceEvents))
-	if dropped, ok := tf.OtherData["droppedEvents"].(float64); ok && dropped > 0 {
-		fmt.Printf("warning: trace dropped %d events (MaxEvents cap); aggregates are partial\n", int(dropped))
+	fmt.Printf("%s: %d events\n", path, a.events)
+	if a.dropped > 0 {
+		fmt.Printf("warning: trace dropped %d events (MaxEvents cap); aggregates are partial\n", a.dropped)
 	}
-	fmt.Print(agg.Summary())
+	fmt.Print(a.agg.Summary())
 	fmt.Println()
-	fmt.Print(placement.Analyze(agg, topo, costs).String())
+	fmt.Print(placement.Analyze(a.agg, a.topo, a.costs).String())
 }

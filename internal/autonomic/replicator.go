@@ -32,9 +32,10 @@ type ReplicaSlot struct {
 // defaults. The shape is the placement daemon's — EWMA-smoothed windows,
 // confirmation streak, per-slot budget and cooldown, priced actuation —
 // with a write-fraction hysteresis band choosing between the two
-// actuators: a read-mostly region is worth replicating (every write then
-// pays an update per replica), a write-hot one must collapse back to a
-// single copy that migration alone may place.
+// actuators: a read-mostly region (write fraction at most 0.05) is worth
+// replicating (every write then pays an update per replica), a write-hot
+// one (at least 0.25) must collapse back to a single copy that migration
+// alone may place.
 type ReplicatorParams struct {
 	// Decay is the per-window EWMA retention of the smoothed read/write
 	// vectors (default 0.75 — the shared controller horizon).
@@ -42,11 +43,6 @@ type ReplicatorParams struct {
 	// MinWeight is the smoothed per-window access mass (reads + writes) a
 	// slot must carry before the policy considers it (default 16).
 	MinWeight float64
-	// WriteLow and WriteHigh are the write-fraction hysteresis band
-	// (defaults 0.05 and 0.25): replicate only below WriteLow, collapse
-	// only at or above WriteHigh. The gap is what keeps an alternating
-	// workload from flapping replicate<->collapse every phase shift.
-	WriteLow, WriteHigh float64
 	// Budget caps replicate+collapse actions per slot over the whole run
 	// (default 4).
 	Budget int
@@ -59,27 +55,26 @@ type ReplicatorParams struct {
 	// Cooldown is the minimum time between two actions on the same slot
 	// (default 800us, eight windows of the default 100us plane).
 	Cooldown sim.Duration
-	// MaxReplicas caps the extra copies per slot beyond the primary
-	// (default Stations-1, at least 1 — one copy per station is where the
-	// read saving saturates).
-	MaxReplicas int
 	// Exec picks the processor that executes an action, given the slot's
 	// primary home (default: the co-located processor).
 	Exec func(home int) int
 }
 
-func (p ReplicatorParams) withDefaults(stations int) ReplicatorParams {
+// writeLow and writeHigh are the write-fraction hysteresis band: replicate
+// only at or below writeLow, collapse only at or above writeHigh. The gap
+// is what keeps an alternating workload from flapping replicate<->collapse
+// every phase shift.
+const (
+	writeLow  = 0.05
+	writeHigh = 0.25
+)
+
+func (p ReplicatorParams) withDefaults() ReplicatorParams {
 	if p.Decay == 0 {
 		p.Decay = 0.75
 	}
 	if p.MinWeight == 0 {
 		p.MinWeight = 16
-	}
-	if p.WriteLow == 0 {
-		p.WriteLow = 0.05
-	}
-	if p.WriteHigh == 0 {
-		p.WriteHigh = 0.25
 	}
 	if p.Budget == 0 {
 		p.Budget = 4
@@ -92,12 +87,6 @@ func (p ReplicatorParams) withDefaults(stations int) ReplicatorParams {
 	}
 	if p.Cooldown == 0 {
 		p.Cooldown = sim.Micros(800)
-	}
-	if p.MaxReplicas == 0 {
-		p.MaxReplicas = stations - 1
-		if p.MaxReplicas < 1 {
-			p.MaxReplicas = 1
-		}
 	}
 	return p
 }
@@ -120,10 +109,10 @@ const collapseCand = -2
 
 // Replicator is the replication policy: per window it folds each slot's
 // read and write traffic into smoothed vectors, and on a read-mostly slot
-// (write fraction through WriteLow) installs a replica on the module where
+// (write fraction through writeLow) installs a replica on the module where
 // the projected read saving — each reader rerouted to its nearest copy —
 // net of the write-update penalty best repays the copy within the payback
-// horizon. A slot that turns write-hot (write fraction through WriteHigh)
+// horizon. A slot that turns write-hot (write fraction through writeHigh)
 // collapses back to its primary, returning it to the migration policy's
 // jurisdiction: the daemon skips replicated regions, so replicate vs
 // migrate vs pin is decided by the write fraction alone and the two
@@ -152,7 +141,7 @@ type replicaSlotState struct {
 // NewReplicator builds the policy over machine m managing the given
 // slots. Register it on a Plane to begin sampling.
 func NewReplicator(m *sim.Machine, topo Topo, costs Costs, params ReplicatorParams, slots []ReplicaSlot) *Replicator {
-	r := &Replicator{m: m, topo: topo, costs: costs, p: params.withDefaults(topo.Stations)}
+	r := &Replicator{m: m, topo: topo, costs: costs, p: params.withDefaults()}
 	n := topo.Modules()
 	for _, s := range slots {
 		r.slots = append(r.slots, &replicaSlotState{
@@ -205,7 +194,7 @@ func (r *Replicator) Claimed(region int) bool {
 			sumW += s.smoothW[i]
 		}
 		weight := sumR + sumW
-		return weight >= r.p.MinWeight && sumW < r.p.WriteHigh*weight
+		return weight >= r.p.MinWeight && sumW < writeHigh*weight
 	}
 	return false
 }
@@ -272,7 +261,7 @@ func (r *Replicator) Tick(now sim.Time) {
 		wf := sumW / weight
 		home := r.m.Mem.Home(s.Region)
 
-		if len(replicas) > 0 && wf >= r.p.WriteHigh {
+		if len(replicas) > 0 && wf >= writeHigh {
 			// Write-hot while replicated: every write is paying an update
 			// per replica. Collapse back to the single migratable copy.
 			if !s.streak.Observe(collapseCand) {
@@ -285,7 +274,9 @@ func (r *Replicator) Tick(now sim.Time) {
 			r.dispatch(home, s.Collapse)
 			continue
 		}
-		if wf <= r.p.WriteLow && len(replicas) < r.p.MaxReplicas {
+		// One copy per station is where the read saving saturates, so a
+		// slot holds at most Stations-1 extra copies (at least one).
+		if wf <= writeLow && len(replicas) < max(r.topo.Stations-1, 1) {
 			cand, benefit := r.bestReplica(s, home, replicas, sumW)
 			if cand < 0 {
 				s.streak.Clear()

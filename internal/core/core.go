@@ -40,8 +40,6 @@ type Config struct {
 	LockKind locks.Kind
 	// Protocol selects optimistic or pessimistic deadlock management.
 	Protocol kernel.Protocol
-	// Buckets sizes the kernel hash tables.
-	Buckets int
 	// SlotModule overrides kernel data placement (see kernel.Config).
 	SlotModule func(c, slot, def int) int
 	// Migratable allocates kernel-data slots in migratable regions so an
@@ -77,7 +75,6 @@ func NewSystem(cfg Config) *System {
 		ClusterSize: cfg.ClusterSize,
 		LockKind:    cfg.LockKind,
 		Protocol:    cfg.Protocol,
-		Buckets:     cfg.Buckets,
 		SlotModule:  cfg.SlotModule,
 		Migratable:  cfg.Migratable,
 		TuneParams:  cfg.TuneParams,

@@ -27,7 +27,6 @@ func TestSystemConfigPlumbing(t *testing.T) {
 		ClusterSize: 2,
 		LockKind:    locks.KindSpin,
 		Protocol:    kernel.Pessimistic,
-		Buckets:     8,
 	})
 	if sys.M.NumProcs() != 8 {
 		t.Fatalf("procs = %d", sys.M.NumProcs())

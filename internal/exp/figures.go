@@ -90,7 +90,10 @@ func Figure5(seed uint64, holdUS float64, rounds int) *Table {
 	}
 	flat := make([]workload.LockStressResult, len(cells))
 	RunParallel(len(cells), func(i int) {
-		flat[i] = workload.LockStress(seed, cells[i].k, cells[i].p, rounds, sim.Micros(holdUS))
+		flat[i] = workload.LockStressRun(workload.StressConfig{
+			Machine: sim.Config{Seed: seed}, Kind: cells[i].k,
+			Procs: cells[i].p, Rounds: rounds, Hold: sim.Micros(holdUS),
+		}).LockStressResult
 	})
 	results := make(map[locks.Kind]map[int]workload.LockStressResult)
 	for i, c := range cells {

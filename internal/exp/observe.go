@@ -30,7 +30,10 @@ func LockUtilization(seed uint64, rounds int) *Table {
 	var homeUtil = map[locks.Kind]float64{}
 	runs := make([]*workload.LockStressObserved, len(kinds))
 	RunParallel(len(kinds), func(i int) {
-		runs[i] = workload.LockStressInstrumented(seed, kinds[i], 16, rounds, rounds/4+1, sim.Micros(25), nil)
+		runs[i] = workload.LockStressRun(workload.StressConfig{
+			Machine: sim.Config{Seed: seed}, Kind: kinds[i],
+			Procs: 16, Rounds: rounds, Warmup: rounds/4 + 1, Hold: sim.Micros(25),
+		})
 	})
 	for i, k := range kinds {
 		r := runs[i]

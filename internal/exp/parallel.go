@@ -14,9 +14,8 @@ import (
 // out their own cells); the caller always participates without taking a
 // token, so nesting can never deadlock — at worst a level runs serially.
 var (
-	parMu      sync.Mutex
-	parTokens  chan struct{}
-	parWorkers int = 1
+	parMu     sync.Mutex
+	parTokens chan struct{}
 )
 
 // SetParallelism sets the global worker budget: at most n goroutines
@@ -28,18 +27,10 @@ func SetParallelism(n int) {
 	}
 	parMu.Lock()
 	defer parMu.Unlock()
-	parWorkers = n
 	parTokens = make(chan struct{}, n-1)
 	for i := 0; i < n-1; i++ {
 		parTokens <- struct{}{}
 	}
-}
-
-// Parallelism reports the current worker budget.
-func Parallelism() int {
-	parMu.Lock()
-	defer parMu.Unlock()
-	return parWorkers
 }
 
 // RunParallel invokes fn(0) .. fn(n-1), each exactly once, spreading calls

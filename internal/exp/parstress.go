@@ -68,10 +68,6 @@ func ParStress(seed uint64, windowUS int, full bool) *Table {
 			Machine: mc.cfg(seed),
 			Kind:    kind,
 			Procs:   mc.procs,
-			Spread:  true,
-			Hold:    sim.Micros(6),
-			Think:   sim.Micros(20),
-			Warmup:  sim.Micros(200),
 			Window:  sim.Micros(float64(windowUS) * mc.winScale),
 		}
 		var c cell

@@ -80,10 +80,6 @@ func (e *Engine) Now() Time { return e.now }
 // both dispatched heap events and elided fast-path clock advances.
 func (e *Engine) Processed() uint64 { return e.processed + e.elided }
 
-// Elided reports how many clock advances the coalescing fast path performed
-// without scheduling a heap event.
-func (e *Engine) Elided() uint64 { return e.elided }
-
 // push inserts ev into the 4-ary heap. A 4-ary heap trades slightly more
 // comparisons on pop for half the swap depth and better cache locality than
 // the binary container/heap, and inlining it removes the interface{} boxing

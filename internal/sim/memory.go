@@ -405,9 +405,6 @@ func (m *Memory) Poke(a Addr, v uint64) {
 // Region ids resolve to the module currently backing them.
 func (m *Memory) Module(i int) *Resource { return &m.modules[m.Home(i)] }
 
-// Bus exposes a station bus's resource counters.
-func (m *Memory) Bus(i int) *Resource { return &m.buses[i] }
-
 // Ring exposes the ring's resource counters.
 func (m *Memory) Ring() *Resource { return &m.ring }
 

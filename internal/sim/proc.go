@@ -290,9 +290,6 @@ func (p *Proc) WaitLocal(a Addr, pred func(uint64) bool) uint64 {
 
 // --- Interrupts ---
 
-// IRQOn reports whether interrupts are enabled.
-func (p *Proc) IRQOn() bool { return p.irqEnabled }
-
 // SetIRQ enables or disables all interrupts (HECTOR only supports
 // enable/disable-all, per §3.2).
 func (p *Proc) SetIRQ(on bool) {
@@ -305,9 +302,6 @@ func (p *Proc) SetIRQ(on bool) {
 // InISR reports whether the processor is currently running an interrupt
 // handler.
 func (p *Proc) InISR() bool { return p.inISR }
-
-// PendingIRQs reports the number of undelivered interrupts.
-func (p *Proc) PendingIRQs() int { return len(p.pendingIRQ) }
 
 // postIRQ enqueues an interrupt; called from engine context by SendIPI.
 func (p *Proc) postIRQ(h IRQHandler) {

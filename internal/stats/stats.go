@@ -119,9 +119,9 @@ func (d *Dist) String() string {
 // never alone — the paper's §3.2 starvation discussion is exactly the case
 // where a lock design looks fine on the mean and terrible at p999.
 type Tail struct {
-	N                        int
+	N                         int
 	Mean, P50, P95, P99, P999 float64
-	Max                      float64
+	Max                       float64
 }
 
 // Tail computes the tail summary of the distribution.

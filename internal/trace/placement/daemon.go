@@ -15,7 +15,8 @@ import (
 // tuner: a fixed sampling cadence (the autonomics plane's daemon events,
 // zero simulated cost), EWMA smoothing of the windowed signal so one-window
 // bursts cannot trigger action, and a hysteresis/indifference band plus
-// hard budgets so the feedback loop cannot thrash.
+// hard budgets so the feedback loop cannot thrash. A move must also repay
+// its copy within a fixed 64-window payback horizon.
 type DaemonParams struct {
 	// Decay is the per-window EWMA retention of the smoothed access
 	// vectors (default 0.75, a ~4-window horizon — the same constant tune
@@ -43,13 +44,6 @@ type DaemonParams struct {
 	// plane periods — one processor's single fault, say — can nominate a
 	// destination but never confirm it, so only sustained shifts move data.
 	Confirm int
-	// Payback is the rent-vs-buy horizon, in windows (default 64): a move
-	// executes only if its projected per-window saving repays the copy's
-	// estimated cost (region words × the ring access weight) within Payback
-	// windows. This is what keeps large slots from chasing small
-	// improvements — the copy grows with the slot, the saving does not —
-	// while leaving small slots cheap to re-home.
-	Payback int
 	// Cooldown is the minimum time between two moves of the same slot
 	// (default 800us, eight windows of the default 100us plane), so an
 	// oscillating workload at most flips a slot once per cooldown until the
@@ -69,6 +63,14 @@ type DaemonParams struct {
 	Exec func(home int) int
 }
 
+// payback is the rent-vs-buy horizon, in windows: a move executes only if
+// its projected per-window saving repays the copy's estimated cost (region
+// words × the ring access weight) within payback windows. This is what
+// keeps large slots from chasing small improvements — the copy grows with
+// the slot, the saving does not — while leaving small slots cheap to
+// re-home.
+const payback = 64
+
 func (p DaemonParams) withDefaults() DaemonParams {
 	if p.Decay == 0 {
 		p.Decay = 0.75
@@ -84,9 +86,6 @@ func (p DaemonParams) withDefaults() DaemonParams {
 	}
 	if p.Confirm == 0 {
 		p.Confirm = 2
-	}
-	if p.Payback == 0 {
-		p.Payback = 64
 	}
 	if p.Cooldown == 0 {
 		p.Cooldown = sim.Micros(800)
@@ -247,10 +246,10 @@ func (d *Daemon) Tick(now sim.Time) {
 		prop := propose(s.Name, home, ivec, d.topo, d.costs, load, d.p.Improve)
 		if prop.Moved() {
 			// Rent vs buy: the per-window saving (undo the fixed-point
-			// scale) must repay the copy within the Payback horizon.
+			// scale) must repay the copy within the payback horizon.
 			benefit := (prop.CurCost - prop.NewCost) / 16
 			copyCost := float64(d.m.Mem.RegionWords(s.Region)) * d.costs.Ring
-			if !autonomic.Worthwhile(benefit, d.p.Payback, copyCost) {
+			if !autonomic.Worthwhile(benefit, payback, copyCost) {
 				prop.Proposed = prop.Home
 			}
 		}

@@ -23,14 +23,14 @@ func TestStackRows(t *testing.T) {
 		rep    autonomic.ReplicatorParams
 	}{
 		{placement.RowDefaults, "defaults", us(100),
-			placement.DaemonParams{Decay: 0.75, MinWeight: 16, Improve: 0.10, Budget: 4, Confirm: 2, Payback: 64, Cooldown: us(800)},
-			autonomic.ReplicatorParams{Decay: 0.75, MinWeight: 16, WriteLow: 0.05, WriteHigh: 0.25, Budget: 4, Confirm: 2, Payback: 64, Cooldown: us(800), MaxReplicas: 3}},
+			placement.DaemonParams{Decay: 0.75, MinWeight: 16, Improve: 0.10, Budget: 4, Confirm: 2, Cooldown: us(800)},
+			autonomic.ReplicatorParams{Decay: 0.75, MinWeight: 16, Budget: 4, Confirm: 2, Payback: 64, Cooldown: us(800)}},
 		{placement.RowServer, "server", us(100),
-			placement.DaemonParams{Decay: 0.9, MinWeight: 2, Improve: 0.25, Budget: 2, Confirm: 6, Payback: 64, Cooldown: us(800)},
-			autonomic.ReplicatorParams{Decay: 0.95, MinWeight: 4, WriteLow: 0.05, WriteHigh: 0.25, Budget: 4, Confirm: 3, Payback: 48, Cooldown: us(800), MaxReplicas: 3}},
+			placement.DaemonParams{Decay: 0.9, MinWeight: 2, Improve: 0.25, Budget: 2, Confirm: 6, Cooldown: us(800)},
+			autonomic.ReplicatorParams{Decay: 0.95, MinWeight: 4, Budget: 4, Confirm: 3, Payback: 48, Cooldown: us(800)}},
 		{placement.RowFault, "fault", us(25),
-			placement.DaemonParams{Decay: 0.9, MinWeight: 0.25, Improve: 0.10, Budget: 4, Confirm: 3, Payback: 64, Cooldown: us(200)},
-			autonomic.ReplicatorParams{Decay: 0.9, MinWeight: 0.25, WriteLow: 0.05, WriteHigh: 0.25, Budget: 4, Confirm: 3, Payback: 64, Cooldown: us(800), MaxReplicas: 3}},
+			placement.DaemonParams{Decay: 0.9, MinWeight: 0.25, Improve: 0.10, Budget: 4, Confirm: 3, Cooldown: us(200)},
+			autonomic.ReplicatorParams{Decay: 0.9, MinWeight: 0.25, Budget: 4, Confirm: 3, Payback: 64, Cooldown: us(800)}},
 	}
 	for _, c := range cases {
 		cfg := machine.Hector16(1)

@@ -31,21 +31,15 @@ type ServerConfig struct {
 	// LockKind selects the kernel's coarse-lock algorithm (KindTuned puts
 	// a feedback controller on every kernel lock).
 	LockKind locks.Kind
-	// Protocol selects optimistic or pessimistic deadlock management.
-	Protocol kernel.Protocol
 	// Migratable allocates kernel data in migratable regions (for an
 	// attached placement daemon).
 	Migratable bool
 	// Tracer, when non-nil, observes the whole run.
 	Tracer sim.Tracer
 
-	// Workers is how many processors serve requests (default: all).
-	Workers int
 	// Tenants is the number of tenants; ZipfS the access skew exponent.
 	Tenants int
 	ZipfS   float64
-	// PagesPerTenant sizes each tenant's working set.
-	PagesPerTenant int
 	// Arrivals is the open-loop schedule (MeanGap, Horizon, bursts, ramp,
 	// flash crowd).
 	Arrivals ArrivalSpec
@@ -55,7 +49,8 @@ type ServerConfig struct {
 	Warmup sim.Duration
 	// QueueLimit bounds the admission queue; arrivals past it are dropped
 	// (counted, not served) — the admission control that keeps an
-	// overloaded open-loop run's drain finite. Default 4x Workers.
+	// overloaded open-loop run's drain finite. Default 4x the worker
+	// count.
 	QueueLimit int
 	// Deadline, when nonzero, is the latency SLO: a request still queued
 	// when a worker picks it up more than Deadline after its arrival is
@@ -158,6 +153,10 @@ func (r *ServerResult) Fingerprint() string {
 	return s
 }
 
+// pagesPerTenant sizes each tenant's working set: the pages its requests
+// soft-fault, drawn uniformly per request.
+const pagesPerTenant = 4
+
 // serverRequest is one precomputed request: the schedule is materialized
 // before the machine starts, so the event stream is a pure function of the
 // seed and the same offered load replays against any lock or machine.
@@ -170,18 +169,11 @@ type serverRequest struct {
 }
 
 // ServerRun executes the scenario and reports the tail-latency summary.
+// Every processor serves requests, each tenant's working set is four pages,
+// and the kernel runs the optimistic deadlock-management protocol.
 func ServerRun(cfg ServerConfig) *ServerResult {
-	if cfg.Workers == 0 {
-		cfg.Workers = numProcsOf(cfg.Machine)
-	}
 	if cfg.Tenants == 0 {
 		cfg.Tenants = 16
-	}
-	if cfg.PagesPerTenant == 0 {
-		cfg.PagesPerTenant = 4
-	}
-	if cfg.QueueLimit == 0 {
-		cfg.QueueLimit = 4 * cfg.Workers
 	}
 	if cfg.TenantDataWords > 0 && cfg.TenantTouch == 0 {
 		cfg.TenantTouch = 32
@@ -190,13 +182,16 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 		Machine:     cfg.Machine,
 		ClusterSize: cfg.ClusterSize,
 		LockKind:    cfg.LockKind,
-		Protocol:    cfg.Protocol,
 		Migratable:  cfg.Migratable,
 		TuneParams:  cfg.TuneParams,
 		Tracer:      cfg.Tracer,
 	})
 	k := sys.K
 	m := sys.M
+	workers := m.NumProcs()
+	if cfg.QueueLimit == 0 {
+		cfg.QueueLimit = 4 * workers
+	}
 
 	// Per-tenant data regions: migratable slots the autonomics plane can
 	// act on, homed like the tenant's kernel objects so the initial layout
@@ -226,7 +221,7 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 		reqs[i] = serverRequest{
 			at:    at,
 			rank:  zipf.Sample(rr),
-			vpn:   uint64(rr.Intn(cfg.PagesPerTenant)),
+			vpn:   uint64(rr.Intn(pagesPerTenant)),
 			churn: cfg.ChurnEvery > 0 && i%cfg.ChurnEvery == cfg.ChurnEvery-1,
 		}
 		if cfg.TenantDataWords > 0 {
@@ -410,8 +405,8 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 		}
 	}
 
-	bar := NewBarrier(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
+	bar := NewBarrier(workers)
+	for w := 0; w < workers; w++ {
 		w := w
 		sys.Spawn(w, func(p *sim.Proc) {
 			if w == 0 {
@@ -423,9 +418,9 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 					file := kernel.MakeKey(c, 2, uint64(rank+1)<<20)
 					base := kernel.MakeKey(c, 3, uint64(rank+1)<<20)
 					k.VM.SetupRegion(p, region, file, base)
-					for v := 0; v < cfg.PagesPerTenant; v++ {
+					for v := 0; v < pagesPerTenant; v++ {
 						k.VM.SetupFCB(p, file+uint64(v))
-						k.VM.SetupPage(p, base+uint64(v), uint64(cfg.Workers),
+						k.VM.SetupPage(p, base+uint64(v), uint64(workers),
 							kernel.FlagCoherent, uint64(rank+1)<<20|uint64(v))
 					}
 				}
@@ -485,17 +480,4 @@ func ServerRun(cfg ServerConfig) *ServerResult {
 		res.GoodputRPS = float64(res.Completed) / (span.Microseconds() / 1e6)
 	}
 	return res
-}
-
-// numProcsOf reports how many processors cfg builds, without building a
-// machine: the sim defaults are 4x4 when unset.
-func numProcsOf(cfg sim.Config) int {
-	s, pps := cfg.Stations, cfg.ProcsPerStation
-	if s == 0 {
-		s = 4
-	}
-	if pps == 0 {
-		pps = 4
-	}
-	return s * pps
 }

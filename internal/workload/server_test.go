@@ -19,7 +19,6 @@ func serverTestConfig(seed uint64, kind locks.Kind) ServerConfig {
 		Machine:     machine.Hector16(seed),
 		ClusterSize: 4,
 		LockKind:    kind,
-		Workers:     16,
 		Tenants:     16,
 		ZipfS:       1.0,
 		Arrivals: ArrivalSpec{

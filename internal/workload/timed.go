@@ -7,6 +7,14 @@ import (
 	"hurricane/internal/sim"
 )
 
+// The time-gated loop's fixed shape (see TimedStressConfig).
+const (
+	timedHome                = 0
+	timedHold   sim.Duration = 6 * sim.CyclesPerMicrosecond
+	timedThink  sim.Duration = 20 * sim.CyclesPerMicrosecond
+	timedWarmup sim.Duration = 200 * sim.CyclesPerMicrosecond
+)
+
 // TimedStressConfig parameterizes the time-gated lock stress loop, a
 // variant of the Figure 5 loop. The classic loop is round-gated and
 // phase-aligned with a Barrier, so its cost grows with the slowest lock's
@@ -14,6 +22,14 @@ import (
 // deadline and measurement is gated by simulated time alone: every lock
 // gets the same window, and a lock that collapses under dense contention
 // shows as few rounds rather than as a run that never ends.
+//
+// The loop's shape is fixed. Each round holds a lock homed on module 0 for
+// 6us, then thinks for a time jittered uniformly in [0, 20us) per
+// processor. The first 200us of simulated time are unmeasured, so the locks
+// (and the Tuned controller) settle first. The w-th participant runs on
+// processor (w mod stations)*procsPerStation + w/stations, round-robin
+// across stations, so a partial-machine run still generates cross-station
+// lock traffic.
 type TimedStressConfig struct {
 	// Machine is the hardware configuration, including the seed.
 	Machine sim.Config
@@ -24,20 +40,10 @@ type TimedStressConfig struct {
 	MakeLock func(m *sim.Machine, home int) locks.Lock
 	// Procs is how many processors run the loop.
 	Procs int
-	// Spread, when set, assigns the w-th participant to processor
-	// (w mod stations)*procsPerStation + w/stations — round-robin across
-	// stations, so a partial-machine run still generates cross-station
-	// lock traffic. Unset, participants are processors 0..Procs-1.
-	Spread bool
-	// Home is the lock's (and protected data's) home module.
-	Home int
-	// Hold is the critical-section hold time; Think an optional per-round
-	// post-release think, jittered uniformly in [0, Think) per processor.
-	Hold, Think sim.Duration
-	// Warmup and Window bound the run in simulated time: rounds whose
-	// acquire starts in [Warmup, Warmup+Window) are measured, and every
-	// processor stops starting rounds at Warmup+Window.
-	Warmup, Window sim.Duration
+	// Window bounds the run in simulated time: rounds whose acquire starts
+	// in [200us, 200us+Window) are measured, and every processor stops
+	// starting rounds at 200us+Window.
+	Window sim.Duration
 }
 
 // timedSlot is one processor's private counters.
@@ -88,17 +94,14 @@ func TimedStressRun(cfg TimedStressConfig) *TimedStressResult {
 	// owner word carries the previous holder's identity in-band (through
 	// simulated memory, under the lock), which is how hand-off locality is
 	// tracked.
-	l := mk(m, cfg.Home)
-	data := m.Alloc(cfg.Home, 8)
-	owner := m.Alloc(cfg.Home, 1)
-	deadline := sim.Time(cfg.Warmup + cfg.Window)
+	l := mk(m, timedHome)
+	data := m.Alloc(timedHome, 8)
+	owner := m.Alloc(timedHome, 1)
+	deadline := sim.Time(timedWarmup + cfg.Window)
 
 	slots := make([]timedSlot, cfg.Procs)
 	for w := 0; w < cfg.Procs; w++ {
-		id := w
-		if cfg.Spread {
-			id = (w%mcfg.Stations)*pps + w/mcfg.Stations
-		}
+		id := (w%mcfg.Stations)*pps + w/mcfg.Stations
 		slot := &slots[w]
 		m.Go(id, func(p *sim.Proc) {
 			for {
@@ -109,7 +112,7 @@ func TimedStressRun(cfg TimedStressConfig) *TimedStressResult {
 				l.Acquire(p)
 				wait := p.Now() - t0
 				prev := p.Swap(owner, uint64(1+p.ID()))
-				if t0 >= sim.Time(cfg.Warmup) {
+				if t0 >= sim.Time(timedWarmup) {
 					slot.rounds++
 					slot.waitCycles += uint64(wait)
 					if prev != 0 && prev != uint64(1+p.ID()) {
@@ -119,18 +122,9 @@ func TimedStressRun(cfg TimedStressConfig) *TimedStressResult {
 						}
 					}
 				}
-				h := cfg.Hold
-				chunk := sim.Micros(2)
-				for h >= chunk {
-					p.Store(data+sim.Addr(p.ID()%8), uint64(p.ID()))
-					h -= chunk
-					p.Think(chunk - 20)
-				}
-				p.Think(h)
+				holdWork(p, data, timedHold)
 				l.Release(p)
-				if cfg.Think > 0 {
-					p.Think(p.RNG().Duration(cfg.Think))
-				}
+				p.Think(p.RNG().Duration(timedThink))
 			}
 		})
 	}

@@ -33,10 +33,6 @@ func timedFingerprint(t *testing.T, cfg func(seed uint64) sim.Config, procs int,
 		Machine: cfg(seed),
 		Kind:    kind,
 		Procs:   procs,
-		Spread:  true,
-		Hold:    sim.Micros(6),
-		Think:   sim.Micros(10),
-		Warmup:  sim.Micros(100),
 		Window:  window,
 	})
 	return r.Fingerprint()

@@ -67,48 +67,18 @@ type LockStressResult struct {
 	AcquireDist *stats.Dist
 }
 
-// LockStress runs the Figure 5 experiment: nprocs processors continuously
-// acquire and release one lock of the given kind (homed on module 0),
-// holding it for hold cycles, rounds times each.
-func LockStress(seed uint64, kind locks.Kind, nprocs, rounds int, hold sim.Duration) LockStressResult {
-	m := sim.NewMachine(sim.Config{Seed: seed})
-	l := locks.New(m, kind, 0)
-	// The protected data lives with the lock, as kernel data does: the
-	// holder's critical section touches it, so remote spinning on the lock
-	// module slows the holder — the second-order effect of §2.1.
-	data := m.Alloc(0, 8)
-	holdWork := func(p *sim.Proc, h sim.Duration) {
-		chunk := sim.Micros(2)
-		for h >= chunk {
-			p.Store(data+sim.Addr(p.ID()%8), uint64(p.ID()))
-			h -= chunk
-			p.Think(chunk - 20)
-		}
-		p.Think(h)
+// holdWork spends h of critical-section time touching the protected data
+// at data in 2us chunks. The data lives with the lock, as kernel data does,
+// so remote spinning on the lock module slows the holder: the second-order
+// effect of §2.1.
+func holdWork(p *sim.Proc, data sim.Addr, h sim.Duration) {
+	chunk := sim.Micros(2)
+	for h >= chunk {
+		p.Store(data+sim.Addr(p.ID()%8), uint64(p.ID()))
+		h -= chunk
+		p.Think(chunk - 20)
 	}
-	dist := &stats.Dist{}
-	for i := 0; i < nprocs; i++ {
-		m.Go(i, func(p *sim.Proc) {
-			for r := 0; r < rounds; r++ {
-				t0 := p.Now()
-				l.Acquire(p)
-				dist.Add((p.Now() - t0).Microseconds())
-				holdWork(p, hold)
-				l.Release(p)
-			}
-		})
-	}
-	m.RunAll()
-	m.Shutdown()
-	elapsed := m.Eng.Now()
-	// Throughput view: average time per completed operation across the
-	// whole machine, minus the hold itself — the per-pair overhead.
-	perOp := float64(elapsed) / float64(rounds) / sim.CyclesPerMicrosecond
-	return LockStressResult{
-		PairUS:      perOp - hold.Microseconds(),
-		AcquireUS:   dist.Mean(),
-		AcquireDist: dist,
-	}
+	p.Think(h)
 }
 
 // ResourceUtil is one resource's windowed activity summary.
@@ -119,7 +89,7 @@ type ResourceUtil struct {
 	MaxQueueUS  float64
 }
 
-// LockStressObserved is LockStress with the observability layer attached:
+// LockStressObserved is a Figure 5 run with the observability layer attached:
 // per-lock telemetry, per-resource windowed utilization over just the
 // measured rounds, and (optionally) a full event trace.
 type LockStressObserved struct {
@@ -186,26 +156,13 @@ type StressConfig struct {
 	Attach func(r *LockStressObserved)
 }
 
-// LockStressInstrumented runs the LockStress experiment with warmup
-// warm-up rounds per processor excluded from every statistic: after the
-// warm-up all processors barrier, the resource windows and lock telemetry
-// reset, and only then do the measured rounds count. A non-nil tracer
-// observes the whole run (including warm-up).
-func LockStressInstrumented(seed uint64, kind locks.Kind, nprocs, rounds, warmup int, hold sim.Duration, tracer sim.Tracer) *LockStressObserved {
-	return LockStressRun(StressConfig{
-		Machine: sim.Config{Seed: seed},
-		Kind:    kind,
-		Procs:   nprocs,
-		Rounds:  rounds,
-		Warmup:  warmup,
-		Hold:    hold,
-		Tracer:  tracer,
-	})
-}
-
-// LockStressRun is the config-driven form of LockStressInstrumented. With a
-// zero-value Machine it reproduces LockStressInstrumented exactly (same
-// event order, same statistics).
+// LockStressRun runs the Figure 5 experiment: cfg.Procs processors
+// continuously acquire and release one lock, holding it for cfg.Hold,
+// cfg.Rounds measured times each. With cfg.Warmup > 0 each processor first
+// runs that many unmeasured rounds, then all barrier, and the resource
+// windows and lock telemetry reset, so only the measured rounds count.
+// With no warm-up there is nothing to align: the processors start
+// measuring at once. A non-nil tracer observes the whole run.
 func LockStressRun(cfg StressConfig) *LockStressObserved {
 	home := cfg.Home
 	m := sim.NewMachine(cfg.Machine)
@@ -222,15 +179,6 @@ func LockStressRun(cfg StressConfig) *LockStressObserved {
 		dataHome = dataRegion
 	}
 	data := m.Alloc(dataHome, 8)
-	holdWork := func(p *sim.Proc, h sim.Duration) {
-		chunk := sim.Micros(2)
-		for h >= chunk {
-			p.Store(data+sim.Addr(p.ID()%8), uint64(p.ID()))
-			h -= chunk
-			p.Think(chunk - 20)
-		}
-		p.Think(h)
-	}
 	res := &LockStressObserved{M: m, Lock: l, HomeModule: home, DataRegion: dataRegion}
 	if cfg.Attach != nil {
 		cfg.Attach(res)
@@ -240,15 +188,17 @@ func LockStressRun(cfg StressConfig) *LockStressObserved {
 	windowOpen := false
 	for i := 0; i < cfg.Procs; i++ {
 		m.Go(i, func(p *sim.Proc) {
-			for r := 0; r < cfg.Warmup; r++ {
-				l.Acquire(p)
-				holdWork(p, cfg.Hold)
-				l.Release(p)
+			if cfg.Warmup > 0 {
+				for r := 0; r < cfg.Warmup; r++ {
+					l.Acquire(p)
+					holdWork(p, data, cfg.Hold)
+					l.Release(p)
+				}
+				bar.Wait(p)
 			}
-			bar.Wait(p)
 			// The first processor to resume opens the measurement window;
 			// the simulator is single-threaded, so this runs before any
-			// post-barrier lock traffic.
+			// measured lock traffic.
 			if !windowOpen {
 				windowOpen = true
 				res.WindowStart = p.Now()
@@ -266,7 +216,7 @@ func LockStressRun(cfg StressConfig) *LockStressObserved {
 				t0 := p.Now()
 				l.Acquire(p)
 				dist.Add((p.Now() - t0).Microseconds())
-				holdWork(p, cfg.Hold)
+				holdWork(p, data, cfg.Hold)
 				l.Release(p)
 			}
 		})
