@@ -83,7 +83,9 @@ perfbench-test:
 
 # End-to-end check of the span pipeline: trace a tiny kernel workload,
 # feed the trace through traceanal, and require a non-empty placement
-# report (both the data and lock sections must render).
+# report (both the data and lock sections must render). A traced
+# autonomics run must then carry its decisions into the trace: traceanal's
+# decisions section lists the replications the plane made.
 trace-smoke:
 	$(GO) run ./cmd/clustersim -size 16 -procs 8 -rounds 5 -trace /tmp/hurricane_smoke.json > /dev/null
 	$(GO) run ./cmd/traceanal /tmp/hurricane_smoke.json > /tmp/hurricane_smoke.txt
@@ -94,6 +96,10 @@ trace-smoke:
 	$(GO) run ./cmd/clustersim -size 16 -procs 4 -rounds 8 -migrate > /tmp/hurricane_migrate.txt
 	grep -Eq "migrations: [1-9]" /tmp/hurricane_migrate.txt
 	@echo "trace-smoke: online placement daemon migrated kernel data mid-run"
+	$(GO) run ./cmd/clustersim -size 16 -procs 4 -rounds 8 -autonomic -trace /tmp/hurricane_autotrace.json > /dev/null
+	$(GO) run ./cmd/traceanal /tmp/hurricane_autotrace.json > /tmp/hurricane_autotrace.txt
+	sed -n '/^decisions: /,$$p' /tmp/hurricane_autotrace.txt | grep -Eq "^  t=[0-9.]+us +replicate "
+	@echo "trace-smoke: traced autonomics run lists its replications among the trace's decisions"
 
 # End-to-end check of the open-loop server harness: a short lockstat
 # server run must report a populated sojourn tail and per-tenant skew,

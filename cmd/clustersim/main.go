@@ -9,13 +9,14 @@
 //
 // With -migrate, kernel-data slots are allocated in migratable regions and
 // an online placement daemon samples the live access trace, re-homing hot
-// slots toward their accessors mid-run; the daemon's move log and the
+// slots toward their accessors mid-run; the daemon's decision log and the
 // charged migration cost are printed after the run.
 //
 // With -autonomic, the whole kernel autonomics plane runs: feedback-tuned
 // kernel locks, the placement daemon, and the replication policy for
 // read-mostly kernel data, all sampled by one shared daemon cadence
-// (internal/autonomic.Plane). -migrate remains the single-policy alias.
+// (internal/autonomic.Plane); each one's decisions print after the run.
+// -migrate remains the single-policy alias.
 // Both modes take the "fault" row of placement's constants table — the
 // constants of exp.PlacementOnline, whose fault workload this is.
 //
@@ -28,6 +29,7 @@ import (
 	"os"
 	"strings"
 
+	"hurricane/internal/autonomic"
 	"hurricane/internal/core"
 	"hurricane/internal/locks"
 	"hurricane/internal/sim"
@@ -155,19 +157,23 @@ func main() {
 		fmt.Printf("  migrations: %d (%d words copied, %.1fus charged)\n",
 			res.Stats.Migrations, res.Stats.MigratedWords,
 			float64(res.Stats.MigrationCycles)/sim.CyclesPerMicrosecond)
-		for _, line := range strings.SplitAfter(st.Report(), "\n") {
+		pl := st.Plane
+		names := pl.Names()
+		log := fmt.Sprintf("autonomics plane: %d windows every %v, %d policies [%s]\n",
+			pl.Ticks(), pl.Period(), len(names), strings.Join(names, " -> "))
+		if st.Replicator != nil {
+			log += autonomic.Render(fmt.Sprintf("replication policy: %d windows", pl.Ticks()), st.Replicator.Actions())
+		}
+		log += autonomic.Render(fmt.Sprintf("placement daemon: %d windows", pl.Ticks()), st.Daemon.Moves())
+		for i, ctl := range sys.K.Controllers() {
+			log += autonomic.Render(fmt.Sprintf("kernel lock controller %d: %d mode switches", i, ctl.Switches()),
+				ctl.Decisions())
+		}
+		for _, line := range strings.SplitAfter(log, "\n") {
 			if line != "" {
 				fmt.Print("  " + line)
 			}
 		}
-	}
-	if *auto {
-		var switches uint64
-		for _, ctl := range sys.K.Controllers() {
-			switches += ctl.Switches()
-		}
-		fmt.Printf("  kernel lock controllers: %d mode switches across %d clusters\n",
-			switches, len(sys.K.Controllers()))
 	}
 
 	// Memory-system hot spots (windowed: the window opened at machine

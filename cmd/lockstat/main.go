@@ -15,14 +15,13 @@
 // window, so start-up transients do not dilute steady-state contention.
 //
 // With -lock tuned, the lock is the feedback-tuned hybrid and
-// the controller's decision log is printed after the run: per sampling
-// window, the measured home-module utilization, the smoothed wait
-// estimate, and the backoff cap / mode the controller chose.
+// the controller's decision log is printed after the run: each change of
+// mode, backoff cap or head, with the signal that fired and the state left.
 //
 // With -migrate, the protected data lives in a migratable region (use
 // -home to start it away from the contenders, e.g. -home 12 -procs 4) and
 // the online placement daemon re-homes it mid-run from the live access
-// trace; its move log is printed after the run.
+// trace; its decision log is printed after the run.
 //
 //	lockstat -lock h2mcs -procs 4 -home 12 -migrate  # daemon pulls the data to station 0
 //
@@ -51,7 +50,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 
+	"hurricane/internal/autonomic"
 	"hurricane/internal/core"
 	"hurricane/internal/exp"
 	"hurricane/internal/locks"
@@ -229,12 +230,12 @@ func main() {
 
 	if tl != nil {
 		fmt.Println()
-		fmt.Print(tl.Controller().Report())
+		fmt.Print(tunerLog("tuner", tl.Controller()))
 	}
 
 	if st != nil {
 		fmt.Println()
-		fmt.Print(st.Report())
+		fmt.Print(planeLog(st))
 		fmt.Printf("data region home: module %d", r.M.Mem.Home(r.DataRegion))
 		if reps := r.M.Mem.Replicas(r.DataRegion); len(reps) > 0 {
 			fmt.Printf(", replicas on %v", reps)
@@ -294,7 +295,7 @@ func serverStack(cfg sim.Config, auto bool) *placement.Stack {
 // runServer executes the open-loop multi-tenant server scenario (the
 // exp.ServerSweep workload at one point) and prints the sojourn-time tail,
 // the per-tenant breakdown, and — for the tuned lock or with -migrate —
-// the controller decision logs and the daemon's move log. With -autonomic
+// the decision logs of the controllers and the daemon. With -autonomic
 // the tenants get migratable data regions (three of four read-mostly, one
 // of four write-hot and sharded off its data's home cluster) and the full
 // plane — tuned locks, migration, replication — manages the run.
@@ -344,11 +345,36 @@ func runServer(name string, mc machineSpec, kind locks.Kind, seed uint64, horizo
 	}
 	if kind == locks.KindTuned {
 		for i, ctl := range r.Sys.K.Controllers() {
-			fmt.Printf("\nkernel lock controller %d:\n%s", i, ctl.Report())
+			fmt.Println()
+			fmt.Print(tunerLog(fmt.Sprintf("kernel lock controller %d", i), ctl))
 		}
 	}
 	if st != nil {
 		fmt.Println()
-		fmt.Print(st.Report())
+		fmt.Print(planeLog(st))
 	}
+}
+
+// tunerLog renders one tuned lock's decision log under a title naming the
+// lock and its final state.
+func tunerLog(name string, c *tune.Controller) string {
+	return autonomic.Render(fmt.Sprintf("%s: %d windows, %d mode switches; final mode %s, cap %gus, head %gus",
+		name, c.Samples(), c.Switches(), c.Mode(), c.BackoffCap().Microseconds(), c.HeadBackoff().Microseconds()),
+		c.Decisions())
+}
+
+// planeLog renders the autonomics plane's schedule, then the decision log
+// of each data policy that ran.
+func planeLog(st *placement.Stack) string {
+	pl := st.Plane
+	names := pl.Names()
+	out := fmt.Sprintf("autonomics plane: %d windows every %v, %d policies [%s]\n",
+		pl.Ticks(), pl.Period(), len(names), strings.Join(names, " -> "))
+	if st.Replicator != nil {
+		out += autonomic.Render(fmt.Sprintf("replication policy: %d windows", pl.Ticks()), st.Replicator.Actions())
+	}
+	if st.Daemon != nil {
+		out += autonomic.Render(fmt.Sprintf("placement daemon: %d windows", pl.Ticks()), st.Daemon.Moves())
+	}
+	return out
 }

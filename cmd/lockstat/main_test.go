@@ -30,8 +30,9 @@ func TestServerStackMatchesExperiments(t *testing.T) {
 		for _, st := range []*placement.Stack{got, want} {
 			st.Attach(sim.NewMachine(cfg), nil, nil, nil)
 		}
-		if got.Plane.Report() != want.Plane.Report() {
-			t.Errorf("autonomic=%v: plane %q, want %q", c.auto, got.Plane.Report(), want.Plane.Report())
+		if got.Plane.Period() != want.Plane.Period() || !reflect.DeepEqual(got.Plane.Names(), want.Plane.Names()) {
+			t.Errorf("autonomic=%v: plane %v %v, want %v %v", c.auto,
+				got.Plane.Period(), got.Plane.Names(), want.Plane.Period(), want.Plane.Names())
 		}
 		if (got.TuneParams().Plane == nil) != (want.TuneParams().Plane == nil) {
 			t.Errorf("autonomic=%v: tuned locks on the plane: %v, want %v",

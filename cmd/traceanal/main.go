@@ -2,7 +2,7 @@
 // clustersim (-trace): it rebuilds the access and span aggregates from the
 // event stream and runs the placement analyzer over them, proposing the
 // home module for each piece of traced kernel data — and each lock — that
-// minimizes ring crossings.
+// minimizes ring crossings, then lists the autonomics plane's decisions.
 //
 //	clustersim -size 16 -rounds 10 -trace trace.json
 //	traceanal trace.json
@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"hurricane/internal/autonomic"
 	"hurricane/internal/sim"
@@ -75,6 +76,8 @@ type analysis struct {
 	agg             *trace.Aggregate
 	topo            autonomic.Topo
 	costs           autonomic.Costs
+	// decisions are the plane's decision lines, in trace (time) order.
+	decisions []string
 }
 
 // analyze parses a Chrome trace written by trace.Chrome and replays its
@@ -129,6 +132,9 @@ func analyze(raw []byte) (*analysis, error) {
 			}
 		default:
 			rec.Kind = sim.EvInstant
+			if line, ok := strings.CutPrefix(ev.Name, "decide "); ok {
+				a.decisions = append(a.decisions, fmt.Sprintf("t=%-12v %s", rec.Start, line))
+			}
 		}
 		a.agg.Event(rec)
 	}
@@ -160,4 +166,8 @@ func main() {
 	fmt.Print(a.agg.Summary())
 	fmt.Println()
 	fmt.Print(placement.Analyze(a.agg, a.topo, a.costs).String())
+	fmt.Printf("\ndecisions: %d, in time order\n", len(a.decisions))
+	for _, line := range a.decisions {
+		fmt.Println("  " + line)
+	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -92,5 +93,33 @@ func TestAnalyzeMatchesInProcessAggregate(t *testing.T) {
 	}
 	if !strings.Contains(want, "lock placement") || !strings.Contains(want, "-> module") {
 		t.Fatalf("report has no lock section or no proposed move:\n%s", want)
+	}
+}
+
+// The decisions section lists every emitted decision, in time order, with
+// the same line autonomic.Render prints; other instants stay out of it.
+func TestAnalyzeListsDecisionsInTimeOrder(t *testing.T) {
+	m := sim.NewMachine(sim.Config{Seed: 1})
+	c := trace.NewChrome()
+	c.SetMachine(m)
+	m.SetTracer(c)
+	late := autonomic.Decision{At: 200, Policy: "migrate", Object: "data", Kind: "migrate",
+		Choice: "module 3", RunnerUp: "module 12", Signal: "gain", Value: 0.5, Threshold: 0.1,
+		Price: 92, RunnerUpPrice: 640}
+	early := autonomic.Decision{At: 100, Policy: "tune", Object: "lock@0.1", Kind: "cap",
+		Choice: "spin cap 16us head 2us", RunnerUp: "spin cap 8us head 2us", Signal: "wait_us", Value: 20, Threshold: 16}
+	late.Emit(m, 3)
+	early.Emit(m, 0)
+	m.Eng.Emit(sim.TraceEvent{Kind: sim.EvInstant, Name: "measurement window opens", Src: -1, Dst: -1})
+	a, err := analyze(export(t, c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(autonomic.Render("log", []autonomic.Decision{early, late}), "\n"), "\n")[1:]
+	for i := range want {
+		want[i] = strings.TrimPrefix(want[i], "  ")
+	}
+	if !reflect.DeepEqual(a.decisions, want) {
+		t.Fatalf("decisions\n got %q\nwant %q", a.decisions, want)
 	}
 }

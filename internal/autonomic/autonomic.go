@@ -23,6 +23,7 @@
 //	DecayedSum    s = decay*s + x            (windowed mass with a ~1/(1-decay) horizon)
 //	DecayedRatio  two DecayedSums whose ratio freezes below a mass floor
 //	EWMA          v = decay*v + (1-decay)*x  (smoothed level signal)
+//	FoldVector    an EWMA per module of a cumulative counter's windowed growth
 //
 // Decision primitives:
 //
@@ -31,6 +32,9 @@
 //	Streak  consecutive-window confirmation of a candidate action
 //	Gate    per-target action budget + cooldown
 //	Worthwhile  the rent-vs-buy payback test for priced actuators
+//
+// Every action a policy takes is recorded as one Decision, printed by
+// Render and published as a trace instant by Emit.
 package autonomic
 
 import "hurricane/internal/sim"
@@ -115,6 +119,21 @@ func (e *EWMA) Observe(x float64) float64 {
 
 // Set restarts the smoother from v (e.g. a band midpoint after a switch).
 func (e *EWMA) Set(v float64) { e.V = v }
+
+// FoldVector folds one window of a cumulative per-module counter into its
+// EWMA entry by entry: the window is the counter's growth since snap (a
+// nil or short counter reads as zero), and snap advances to the counter.
+func FoldVector(cum, snap []uint64, smooth []float64, decay float64) {
+	for i := range smooth {
+		var cur uint64
+		if i < len(cum) {
+			cur = cum[i]
+		}
+		w := float64(cur - snap[i])
+		snap[i] = cur
+		smooth[i] = decay*smooth[i] + (1-decay)*w
+	}
+}
 
 // Band is a [Low, High] hysteresis band: escalate at or above High,
 // retreat at or below Low, and do nothing in between.
@@ -208,9 +227,6 @@ func (g *Gate) Ready(now sim.Time) bool {
 
 // Spend records an action at time now.
 func (g *Gate) Spend(now sim.Time) { g.used++; g.last = now }
-
-// Used reports how many actions have been spent.
-func (g *Gate) Used() int { return g.used }
 
 // Worthwhile is the priced-actuator contract: an action whose estimated
 // cost is cost and whose projected per-window benefit is benefit executes

@@ -146,8 +146,8 @@ func TestGateBudgetAndCooldown(t *testing.T) {
 	if g.Ready(10000) {
 		t.Fatal("ready past the budget")
 	}
-	if g.Used() != 2 {
-		t.Fatalf("Used = %d, want 2", g.Used())
+	if g.used != 2 {
+		t.Fatalf("used = %d, want 2", g.used)
 	}
 }
 

@@ -1,11 +1,6 @@
 package autonomic
 
-import (
-	"fmt"
-	"strings"
-
-	"hurricane/internal/sim"
-)
+import "hurricane/internal/sim"
 
 // Policy is one feedback controller's sampling phase: Tick observes the
 // machine at a daemon event (zero simulated cost) and may request
@@ -69,14 +64,11 @@ func (pl *Plane) Start(eng *sim.Engine) {
 // Ticks reports how many sampling windows the plane has dispatched.
 func (pl *Plane) Ticks() uint64 { return pl.ticks }
 
-// Report renders the plane's schedule as an indented block.
-func (pl *Plane) Report() string {
-	var b strings.Builder
+// Names lists the registered policies' names in phase order.
+func (pl *Plane) Names() []string {
 	names := make([]string, len(pl.policies))
 	for i, p := range pl.policies {
 		names[i] = p.Name()
 	}
-	fmt.Fprintf(&b, "autonomics plane: %d windows every %v, %d policies [%s]\n",
-		pl.ticks, pl.period, len(pl.policies), strings.Join(names, " -> "))
-	return b.String()
+	return names
 }

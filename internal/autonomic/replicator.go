@@ -2,7 +2,7 @@ package autonomic
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"hurricane/internal/sim"
 )
@@ -14,7 +14,7 @@ import (
 // replica set, not by callback — actuations may defer behind an interrupt
 // gate.
 type ReplicaSlot struct {
-	// Name labels the slot in the action log.
+	// Name labels the slot in the decision log.
 	Name string
 	// Region is the slot's sim memory region id.
 	Region int
@@ -91,18 +91,6 @@ func (p ReplicatorParams) withDefaults() ReplicatorParams {
 	return p
 }
 
-// ReplicaAction records one executed (requested) actuation.
-type ReplicaAction struct {
-	// Slot names the replicated kernel data slot.
-	Slot string
-	// Kind is "replicate" or "collapse".
-	Kind string
-	// Module is the replica's module for a replicate, -1 for a collapse.
-	Module int
-	// At is the simulated time the action was requested.
-	At sim.Time
-}
-
 // collapseCand is the Streak candidate code for a collapse (replicate
 // candidates are module numbers >= 0).
 const collapseCand = -2
@@ -123,8 +111,7 @@ type Replicator struct {
 	costs   Costs
 	p       ReplicatorParams
 	slots   []*replicaSlotState
-	actions []ReplicaAction
-	ticks   uint64
+	actions []Decision
 }
 
 type replicaSlotState struct {
@@ -136,6 +123,15 @@ type replicaSlotState struct {
 	// pending is an in-flight action: a target module for a replicate,
 	// collapseCand for a collapse, -1 when idle.
 	pending int
+}
+
+// mass sums the slot's smoothed read and write vectors.
+func (s *replicaSlotState) mass() (sumR, sumW float64) {
+	for i := range s.smoothR {
+		sumR += s.smoothR[i]
+		sumW += s.smoothW[i]
+	}
+	return sumR, sumW
 }
 
 // NewReplicator builds the policy over machine m managing the given
@@ -161,18 +157,9 @@ func NewReplicator(m *sim.Machine, topo Topo, costs Costs, params ReplicatorPara
 // Params returns the defaulted parameters.
 func (r *Replicator) Params() ReplicatorParams { return r.p }
 
-// Actions returns the action log (oldest first).
-func (r *Replicator) Actions() []ReplicaAction { return r.actions }
-
-// SlotActions reports how many actions the named slot has spent.
-func (r *Replicator) SlotActions(name string) int {
-	for _, s := range r.slots {
-		if s.Name == name {
-			return s.gate.Used()
-		}
-	}
-	return 0
-}
+// Actions returns the decision log (oldest first): every replicate and
+// collapse the policy requested.
+func (r *Replicator) Actions() []Decision { return r.actions }
 
 // Claimed reports whether the policy considers the region its jurisdiction:
 // already replicated, or carrying enough smoothed traffic to act on and not
@@ -188,11 +175,7 @@ func (r *Replicator) Claimed(region int) bool {
 		if len(r.m.Mem.Replicas(region)) > 0 {
 			return true
 		}
-		var sumR, sumW float64
-		for i := range s.smoothR {
-			sumR += s.smoothR[i]
-			sumW += s.smoothW[i]
-		}
+		sumR, sumW := s.mass()
 		weight := sumR + sumW
 		return weight >= r.p.MinWeight && sumW < writeHigh*weight
 	}
@@ -204,56 +187,27 @@ func (r *Replicator) Name() string { return "replicate" }
 
 // Tick implements Policy: one observation window.
 func (r *Replicator) Tick(now sim.Time) {
-	r.ticks++
-	n := r.topo.Modules()
 	for _, s := range r.slots {
 		// Fold the window into the EWMAs even when the slot cannot act —
 		// the signal must stay fresh for when it can.
-		fold := func(vec func() []uint64, snap []uint64, smooth []float64) {
-			var cum []uint64
-			if vec != nil {
-				cum = vec()
-			}
-			for i := 0; i < n; i++ {
-				var cur uint64
-				if cum != nil && i < len(cum) {
-					cur = cum[i]
-				}
-				w := float64(cur - snap[i])
-				snap[i] = cur
-				smooth[i] = r.p.Decay*smooth[i] + (1-r.p.Decay)*w
-			}
-		}
-		fold(s.Reads, s.snapR, s.smoothR)
-		fold(s.Writes, s.snapW, s.smoothW)
+		FoldVector(s.Reads(), s.snapR, s.smoothR, r.p.Decay)
+		FoldVector(s.Writes(), s.snapW, s.smoothW, r.p.Decay)
 
 		replicas := r.m.Mem.Replicas(s.Region)
 		if s.pending != -1 {
-			if s.pending == collapseCand {
-				if len(replicas) > 0 {
-					continue // collapse still in flight behind a gate
-				}
-			} else {
-				found := false
-				for _, m := range replicas {
-					if m == s.pending {
-						found = true
-					}
-				}
-				if !found {
-					continue // replica copy still in flight
-				}
+			landed := len(replicas) == 0 // a collapse
+			if s.pending != collapseCand {
+				landed = slices.Contains(replicas, s.pending)
+			}
+			if !landed {
+				continue // the actuation is still in flight behind a gate
 			}
 			s.pending = -1
 		}
 		if !s.gate.Ready(now) {
 			continue
 		}
-		var sumR, sumW float64
-		for i := 0; i < n; i++ {
-			sumR += s.smoothR[i]
-			sumW += s.smoothW[i]
-		}
+		sumR, sumW := s.mass()
 		weight := sumR + sumW
 		if weight < r.p.MinWeight {
 			continue
@@ -270,8 +224,16 @@ func (r *Replicator) Tick(now sim.Time) {
 			s.streak.Clear()
 			s.pending = collapseCand
 			s.gate.Spend(now)
-			r.actions = append(r.actions, ReplicaAction{Slot: s.Name, Kind: "collapse", Module: -1, At: now})
-			r.dispatch(home, s.Collapse)
+			// Dropping the copies charges nothing; keeping them charges every
+			// write an update per replica over the payback horizon.
+			var update float64
+			for _, m := range replicas {
+				update += r.costs.Of(r.topo.Dist(home, m))
+			}
+			r.act(home, Decision{At: now, Policy: r.Name(), Object: s.Name, Kind: "collapse",
+				Choice: fmt.Sprintf("module %d", home), RunnerUp: fmt.Sprintf("replicas %v", replicas),
+				Signal: "write_frac", Value: wf, Threshold: writeHigh,
+				RunnerUpPrice: sumW * update * float64(r.p.Payback)}, s.Collapse)
 			continue
 		}
 		// One copy per station is where the read saving saturates, so a
@@ -291,12 +253,13 @@ func (r *Replicator) Tick(now sim.Time) {
 				continue
 			}
 			s.streak.Clear()
-			to := cand
-			s.pending = to
+			s.pending = cand
 			s.gate.Spend(now)
-			r.actions = append(r.actions, ReplicaAction{Slot: s.Name, Kind: "replicate", Module: to, At: now})
-			rep := s.Replicate
-			r.dispatch(home, func(p *sim.Proc) { rep(p, to) })
+			r.act(home, Decision{At: now, Policy: r.Name(), Object: s.Name, Kind: "replicate",
+				Choice: fmt.Sprintf("module %d", cand), RunnerUp: "no new copy",
+				Signal: "write_frac", Value: wf, Threshold: writeLow,
+				Price: copyCost, RunnerUpPrice: benefit * float64(r.p.Payback)},
+				func(p *sim.Proc) { s.Replicate(p, cand) })
 			continue
 		}
 		// Inside the hysteresis band (or already fully replicated): no
@@ -323,16 +286,7 @@ func (r *Replicator) bestReplica(s *replicaSlotState, home int, replicas []int, 
 	}
 	best, bestBenefit := -1, 0.0
 	for cand := 0; cand < n; cand++ {
-		if cand == home {
-			continue
-		}
-		taken := false
-		for _, m := range replicas {
-			if m == cand {
-				taken = true
-			}
-		}
-		if taken {
+		if cand == home || slices.Contains(replicas, cand) {
 			continue
 		}
 		var saving float64
@@ -354,25 +308,14 @@ func (r *Replicator) bestReplica(s *replicaSlotState, home int, replicas []int, 
 	return best, bestBenefit
 }
 
-// dispatch interrupts the executing processor with the actuation.
-func (r *Replicator) dispatch(home int, fn func(*sim.Proc)) {
+// act records decision d, publishes it on the executing processor, and
+// interrupts that processor with the actuation.
+func (r *Replicator) act(home int, d Decision, fn func(*sim.Proc)) {
 	exec := home
 	if r.p.Exec != nil {
 		exec = r.p.Exec(home)
 	}
+	r.actions = append(r.actions, d)
+	d.Emit(r.m, exec)
 	r.m.SendIPI(exec, fn)
-}
-
-// Report renders the action log as an indented block.
-func (r *Replicator) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "replication policy: %d windows, %d actions\n", r.ticks, len(r.actions))
-	for _, a := range r.actions {
-		if a.Kind == "collapse" {
-			fmt.Fprintf(&b, "  t=%-12v %-12s collapse to primary\n", a.At, a.Slot)
-		} else {
-			fmt.Fprintf(&b, "  t=%-12v %-12s replicate -> module %d\n", a.At, a.Slot, a.Module)
-		}
-	}
-	return b.String()
 }

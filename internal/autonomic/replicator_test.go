@@ -77,10 +77,16 @@ func TestReplicatorReplicatesReadMostlyRemoteTraffic(t *testing.T) {
 
 	reps := m.Mem.Replicas(region)
 	if len(reps) != 1 || reps[0] != 12 {
-		t.Fatalf("replicas = %v, want [12] (the reader's module):\n%s", reps, r.Report())
+		t.Fatalf("replicas = %v, want [12] (the reader's module):\n%s", reps, autonomic.Render("replication policy", r.Actions()))
 	}
 	if len(r.Actions()) == 0 || r.Actions()[0].Kind != "replicate" {
-		t.Fatalf("no replicate action recorded:\n%s", r.Report())
+		t.Fatalf("no replicate action recorded:\n%s", autonomic.Render("replication policy", r.Actions()))
+	}
+	// The record explains the copy: a read-mostly signal under its band,
+	// and a copy cheaper than the read traffic it saves.
+	if d := r.Actions()[0]; d.Choice != "module 12" || d.Signal != "write_frac" || d.Value > d.Threshold ||
+		!(d.Price < d.RunnerUpPrice) {
+		t.Fatalf("replicate decision does not explain itself: %v", d)
 	}
 	if lastLoad >= firstLoad {
 		t.Fatalf("read cost did not drop after replication: first %d cycles, last %d", firstLoad, lastLoad)
@@ -128,16 +134,21 @@ func TestReplicatorCollapsesWriteHotSlot(t *testing.T) {
 	m.Shutdown()
 
 	if reps := m.Mem.Replicas(region); len(reps) != 0 {
-		t.Fatalf("write-hot slot still replicated on %v:\n%s", reps, r.Report())
+		t.Fatalf("write-hot slot still replicated on %v:\n%s", reps, autonomic.Render("replication policy", r.Actions()))
 	}
 	var collapses int
 	for _, a := range r.Actions() {
 		if a.Kind == "collapse" {
 			collapses++
+			// Write-hot past the band, and the replicas' write updates cost
+			// more than dropping them.
+			if a.Choice != "module 0" || a.Value < a.Threshold || a.Price != 0 || !(a.RunnerUpPrice > 0) {
+				t.Errorf("collapse decision does not explain itself: %v", a)
+			}
 		}
 	}
 	if collapses != 1 {
-		t.Fatalf("%d collapse actions, want exactly 1:\n%s", collapses, r.Report())
+		t.Fatalf("%d collapse actions, want exactly 1:\n%s", collapses, autonomic.Render("replication policy", r.Actions()))
 	}
 	if m.Mem.ReplicaUpdates == 0 {
 		t.Fatal("writes under replication charged no updates — the collapse saved nothing")
@@ -217,12 +228,14 @@ func TestReplicatorAdversarialAlternationNoOscillation(t *testing.T) {
 	m.RunAll()
 	m.Shutdown()
 
-	if n := rep.SlotActions("data"); n > budget {
+	// One slot, so each log's length is the slot's action count.
+	if n := len(rep.Actions()); n > budget {
 		t.Fatalf("alternating load drove %d replication actions, budget is %d:\n%s",
-			n, budget, rep.Report())
+			n, budget, autonomic.Render("replication policy", rep.Actions()))
 	}
-	if n := d.SlotMoves("data"); n > budget {
-		t.Fatalf("alternating load drove %d moves, budget is %d:\n%s", n, budget, d.Report())
+	if n := len(d.Moves()); n > budget {
+		t.Fatalf("alternating load drove %d moves, budget is %d:\n%s",
+			n, budget, autonomic.Render("placement daemon", d.Moves()))
 	}
 	if len(rep.Actions()) == 0 {
 		t.Fatal("replicator never acted — the alternation was not observed")

@@ -124,7 +124,14 @@ func AutonomicSweep(seed uint64, horizonMS int) *Table {
 				c.switches += int(ctl.Switches())
 			}
 		}
-		c.planeTicks, c.moves, c.reps, c.collapses = st.Counts()
+		if st.Plane != nil {
+			c.planeTicks = st.Plane.Ticks()
+		}
+		kinds := map[string]int{}
+		for _, d := range st.Decisions() {
+			kinds[d.Kind]++
+		}
+		c.moves, c.reps, c.collapses = kinds["migrate"], kinds["replicate"], kinds["collapse"]
 		c.replicaUpdates = c.res.Sys.M.Mem.ReplicaUpdates
 		cells[i] = c
 	})

@@ -140,7 +140,7 @@ func ServerSweep(seed uint64, horizonMS int) *Table {
 			}
 		}
 		if st != nil {
-			_, c.moves, _, _ = st.Counts()
+			c.moves = len(st.Decisions())
 		}
 		results[i] = c
 	})

@@ -62,7 +62,7 @@ func NewTuned(m *sim.Machine, home int, p tune.Params) *Tuned {
 		home:        home,
 		homeStation: m.Mem.StationOf(home),
 	}
-	tune.Attach(m.Eng, m.Mem.Module(home), func() tune.Counters { return l.counts }, l.ctl)
+	tune.Attach(m, l.word, func() tune.Counters { return l.counts }, l.ctl)
 	return l
 }
 

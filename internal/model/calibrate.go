@@ -60,9 +60,9 @@ func residual(m map[string]float64, l Lock) float64 {
 // Calibrate fits residuals from a measured grid. The fit is a per-key
 // geometric mean of measured/predicted ratios — the least-squares solution
 // in log space for a single multiplicative constant. Cells with p < 2 or
-// non-positive measurements are skipped (the p=1 pair overhead can go
-// slightly negative in the simulator because the hold-work model
-// undershoots the nominal hold). The returned MedianErr summarizes the
+// non-positive or non-finite measurements are skipped (the p=1 pair
+// overhead can go slightly negative in the simulator because the hold-work
+// model undershoots the nominal hold). The returned MedianErr summarizes the
 // leftover wait error on the fit grid itself; an independent validation
 // grid (exp.ModelSweep) reports the out-of-sample error.
 func (m Machine) Calibrate(obs []Observation) Calibration {
@@ -70,46 +70,37 @@ func (m Machine) Calibrate(obs []Observation) Calibration {
 		Pair: make(map[string]float64),
 		Wait: make(map[string]float64),
 	}
-	logSum := make(map[string]float64)
-	logN := make(map[string]int)
-	for _, o := range obs {
-		if o.Point.Procs < 2 || o.PairUS <= 0 {
-			continue
+	// fit sets dst[key] to the geometric mean of measured over predicted,
+	// across the usable cells whose prediction is positive.
+	fit := func(dst map[string]float64, measured, predicted func(Observation) float64) {
+		logSum := make(map[string]float64)
+		logN := make(map[string]int)
+		for _, o := range obs {
+			x := measured(o)
+			if o.Point.Procs < 2 || !usable(x) {
+				continue
+			}
+			if y := predicted(o); y > 0 {
+				logSum[o.Lock.Key()] += math.Log(x / y)
+				logN[o.Lock.Key()]++
+			}
 		}
-		raw := m.overhead(o.Lock, o.Point)
-		if raw <= 0 {
-			continue
+		for key, s := range logSum {
+			dst[key] = math.Exp(s / float64(logN[key]))
 		}
-		key := o.Lock.Key()
-		logSum[key] += math.Log(o.PairUS / raw)
-		logN[key]++
 	}
-	for key, s := range logSum {
-		cal.Pair[key] = math.Exp(s / float64(logN[key]))
-	}
-	clear(logSum)
-	clear(logN)
-	for _, o := range obs {
-		if o.Point.Procs < 2 || o.AcquireUS <= 0 {
-			continue
-		}
-		c := m.overhead(o.Lock, o.Point) * cal.PairResidual(o.Lock)
-		fifo := float64(o.Point.Procs-1) * (o.Point.HoldUS + c)
-		if fifo <= 0 {
-			continue
-		}
-		key := o.Lock.Key()
-		logSum[key] += math.Log(o.AcquireUS / fifo)
-		logN[key]++
-	}
-	for key, s := range logSum {
-		cal.Wait[key] = math.Exp(s / float64(logN[key]))
-	}
+	fit(cal.Pair, func(o Observation) float64 { return o.PairUS },
+		func(o Observation) float64 { return m.overhead(o.Lock, o.Point) })
+	// The wait residual is fitted against the FIFO bound (p-1)(H+C), with
+	// the pair residual already applied to C.
+	fit(cal.Wait, func(o Observation) float64 { return o.AcquireUS }, func(o Observation) float64 {
+		return float64(o.Point.Procs-1) * (o.Point.HoldUS + m.overhead(o.Lock, o.Point)*cal.PairResidual(o.Lock))
+	})
 	// Leftover error on the fit grid, with the residuals applied.
 	var errs []float64
 	pr := Predictor{M: m, Cal: cal}
 	for _, o := range obs {
-		if o.Point.Procs < 2 || o.AcquireUS <= 0 {
+		if o.Point.Procs < 2 || !usable(o.AcquireUS) {
 			continue
 		}
 		p := pr.Predict(o.Lock, o.Point)
@@ -118,6 +109,9 @@ func (m Machine) Calibrate(obs []Observation) Calibration {
 	cal.MedianErr = Median(errs)
 	return cal
 }
+
+// usable reports whether a measurement is positive and finite.
+func usable(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Median returns the median of a slice (0 when empty). Sorted copy, so the
 // input order — and therefore parallel-harness merge order — is untouched.

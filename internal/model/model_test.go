@@ -158,32 +158,6 @@ func TestCrossoverAgreesWithBruteForce(t *testing.T) {
 	}
 }
 
-// CrossoverHold must bracket the brute-force scan's sign change.
-func TestCrossoverHoldAgreesWithScan(t *testing.T) {
-	m := hector16()
-	pr := Predictor{M: m}
-	a := Lock{Family: FamilySpin, CapUS: 35}
-	b := Lock{Family: FamilyQueue}
-	for _, p := range []int{4, 8, 16} {
-		got, ok := pr.CrossoverHold(a, b, p, 0, 500)
-		// Brute force on a fine grid.
-		want, wantOK := 0.0, false
-		for h := 0.0; h <= 500; h += 0.25 {
-			pt := Point{Procs: p, HoldUS: h}
-			if pr.Predict(b, pt).PairUS < pr.Predict(a, pt).PairUS {
-				want, wantOK = h, true
-				break
-			}
-		}
-		if ok != wantOK {
-			t.Fatalf("p=%d: CrossoverHold ok=%v scan ok=%v", p, ok, wantOK)
-		}
-		if ok && math.Abs(got-want) > 0.3 {
-			t.Errorf("p=%d: CrossoverHold=%.2f scan=%.2f", p, got, want)
-		}
-	}
-}
-
 // Calibration must drive the fit-grid residual error to (near) zero when
 // the observations come from the model itself scaled by per-lock
 // constants — the identifiability sanity check.
@@ -213,6 +187,70 @@ func TestCalibrateRecoversResiduals(t *testing.T) {
 	}
 	if cal.MedianErr > 1e-6 {
 		t.Errorf("MedianErr = %g on a perfectly fittable grid", cal.MedianErr)
+	}
+}
+
+// A non-finite measurement is skipped, not fitted: one +Inf or NaN cell
+// must leave every residual what the clean grid fits, every prediction
+// finite, and the spin->queue crossover where the clean grid puts it.
+// Fitted, an +Inf pair cell makes the spin residual +Inf and the crossover
+// p=1, and a NaN one resets its whole key's residual to 1.
+func TestCalibrateSkipsNonFiniteMeasurements(t *testing.T) {
+	m := hector16()
+	spin, queue := Lock{Family: FamilySpin, CapUS: 35}, Lock{Family: FamilyQueue}
+	truth := map[string]float64{"spin:35": 2.0, "queue": 1.5}
+	var clean []Observation
+	for _, l := range []Lock{spin, queue} {
+		for _, p := range []int{2, 4, 8, 16} {
+			pt := Point{Procs: p, HoldUS: 25}
+			c := m.overhead(l, pt) * truth[l.Key()]
+			clean = append(clean, Observation{Lock: l, Point: pt, PairUS: c, AcquireUS: float64(p-1) * (25 + c)})
+		}
+	}
+	cleanCal := m.Calibrate(clean)
+	wantCross, wantOK := Predictor{M: m, Cal: cleanCal}.Crossover(spin, queue, 25, 1, 16)
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		name      string
+		pair, acq float64
+	}{
+		{"+Inf pair", inf, 100},
+		{"NaN pair", nan, 100},
+		{"+Inf acquire", 1, inf},
+		{"NaN acquire", 1, nan},
+		{"both non-finite", nan, inf},
+	} {
+		bad := Observation{Lock: spin, Point: Point{Procs: 8, HoldUS: 25}, PairUS: c.pair, AcquireUS: c.acq}
+		// The corrupt cell's finite half must agree with the grid too, so
+		// the fit is exact only if the non-finite half is skipped.
+		if !math.IsInf(c.pair, 0) && !math.IsNaN(c.pair) {
+			bad.PairUS = clean[2].PairUS
+		}
+		if !math.IsInf(c.acq, 0) && !math.IsNaN(c.acq) {
+			bad.AcquireUS = clean[2].AcquireUS
+		}
+		cal := m.Calibrate(append(append([]Observation(nil), clean...), bad))
+		for key := range truth {
+			if math.Abs(cal.Pair[key]-cleanCal.Pair[key]) > 1e-9 || math.Abs(cal.Wait[key]-cleanCal.Wait[key]) > 1e-9 {
+				t.Errorf("%s: %s residuals pair %v wait %v, clean grid fits %v %v",
+					c.name, key, cal.Pair[key], cal.Wait[key], cleanCal.Pair[key], cleanCal.Wait[key])
+			}
+		}
+		if math.IsNaN(cal.MedianErr) || math.IsInf(cal.MedianErr, 0) {
+			t.Errorf("%s: MedianErr %v", c.name, cal.MedianErr)
+		}
+		pr := Predictor{M: m, Cal: cal}
+		for _, l := range testLocks {
+			for p := 1; p <= m.Procs(); p++ {
+				pred := pr.Predict(l, Point{Procs: p, HoldUS: 25})
+				if math.IsInf(pred.PairUS, 0) || math.IsNaN(pred.PairUS) || math.IsInf(pred.WaitUS, 0) || math.IsNaN(pred.WaitUS) {
+					t.Fatalf("%s: %s at p=%d predicts pair %v wait %v", c.name, l, p, pred.PairUS, pred.WaitUS)
+				}
+			}
+		}
+		if got, ok := pr.Crossover(spin, queue, 25, 1, 16); got != wantCross || ok != wantOK {
+			t.Errorf("%s: spin->queue crossover p=%d,%v, clean grid gives p=%d,%v", c.name, got, ok, wantCross, wantOK)
+		}
 	}
 }
 

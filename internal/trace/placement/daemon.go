@@ -2,7 +2,6 @@ package placement
 
 import (
 	"fmt"
-	"strings"
 
 	"hurricane/internal/autonomic"
 	"hurricane/internal/kernel"
@@ -95,7 +94,7 @@ func (p DaemonParams) withDefaults() DaemonParams {
 
 // DaemonSlot is one migratable object under daemon management.
 type DaemonSlot struct {
-	// Name labels the slot in the move log.
+	// Name labels the slot in the decision log.
 	Name string
 	// Region is the slot's sim memory region id; the live aggregate's
 	// RegionAccess vector for it is the daemon's control signal.
@@ -104,13 +103,6 @@ type DaemonSlot struct {
 	// interrupt gate; the daemon detects completion by watching the
 	// region's physical home, not by callback.
 	Migrate func(p *sim.Proc, to int)
-}
-
-// Move records one executed (requested) migration.
-type Move struct {
-	Slot     string
-	From, To int
-	At       sim.Time
 }
 
 // Daemon is the online placement controller: at every plane tick it diffs
@@ -130,8 +122,11 @@ type Daemon struct {
 	costs autonomic.Costs
 	p     DaemonParams
 	slots []*slotState
-	moves []Move
-	ticks uint64
+	moves []autonomic.Decision
+	// load (one entry per module both the topology and the aggregate
+	// know) and ivec are Tick's scratch vectors, reused every window.
+	load []float64
+	ivec []uint64
 }
 
 type slotState struct {
@@ -150,6 +145,8 @@ type slotState struct {
 func NewDaemon(m *sim.Machine, agg *trace.Aggregate, topo autonomic.Topo, costs autonomic.Costs, params DaemonParams, slots []DaemonSlot) *Daemon {
 	d := &Daemon{m: m, agg: agg, topo: topo, costs: costs, p: params.withDefaults()}
 	n := agg.Modules()
+	d.load = make([]float64, min(n, topo.Modules()))
+	d.ivec = make([]uint64, n)
 	for _, s := range slots {
 		d.slots = append(d.slots, &slotState{
 			DaemonSlot: s,
@@ -166,18 +163,9 @@ func NewDaemon(m *sim.Machine, agg *trace.Aggregate, topo autonomic.Topo, costs 
 // Params returns the defaulted parameters.
 func (d *Daemon) Params() DaemonParams { return d.p }
 
-// Moves returns the move log (oldest first).
-func (d *Daemon) Moves() []Move { return d.moves }
-
-// SlotMoves reports how many times the named slot has moved.
-func (d *Daemon) SlotMoves(name string) int {
-	for _, s := range d.slots {
-		if s.Name == name {
-			return s.gate.Used()
-		}
-	}
-	return 0
-}
+// Moves returns the decision log (oldest first): every migration the
+// daemon requested.
+func (d *Daemon) Moves() []autonomic.Decision { return d.moves }
 
 // Name implements autonomic.Policy.
 func (d *Daemon) Name() string { return "migrate" }
@@ -187,30 +175,16 @@ func (d *Daemon) Name() string { return "migrate" }
 // the only feedback path into the simulation is the migrations the daemon
 // requests.
 func (d *Daemon) Tick(now sim.Time) {
-	d.ticks++
-	n := d.topo.Modules()
-	if m := d.agg.Modules(); m < n {
-		n = m
-	}
 	// Projected per-module load for propose()'s tie-breaking, from the
 	// cumulative physical access matrix.
-	load := make([]float64, n)
+	load, n := d.load, len(d.load)
 	for i := 0; i < n; i++ {
 		load[i] = float64(d.agg.AccessTotal(i))
 	}
 	for _, s := range d.slots {
 		// Fold this window into the EWMA even when the slot cannot move
 		// right now — the signal must stay fresh for when it can.
-		vec := d.agg.RegionAccess[s.Region]
-		for i := range s.smooth {
-			var cur uint64
-			if vec != nil {
-				cur = vec[i]
-			}
-			w := float64(cur - s.snap[i])
-			s.snap[i] = cur
-			s.smooth[i] = d.p.Decay*s.smooth[i] + (1-d.p.Decay)*w
-		}
+		autonomic.FoldVector(d.agg.RegionAccess[s.Region], s.snap, s.smooth, d.p.Decay)
 		home := d.m.Mem.Home(s.Region)
 		if s.target >= 0 {
 			if home != s.target {
@@ -233,22 +207,22 @@ func (d *Daemon) Tick(now sim.Time) {
 			continue
 		}
 		var weight float64
-		ivec := make([]uint64, len(s.smooth))
 		for i, v := range s.smooth {
 			weight += v
 			// Fixed-point (1/16 access) so propose() keeps the EWMA's
 			// fractional resolution.
-			ivec[i] = uint64(v*16 + 0.5)
+			d.ivec[i] = uint64(v*16 + 0.5)
 		}
 		if weight < d.p.MinWeight {
 			continue
 		}
-		prop := propose(s.Name, home, ivec, d.topo, d.costs, load, d.p.Improve)
+		prop := propose(s.Name, home, d.ivec, d.topo, d.costs, load, d.p.Improve)
+		var benefit, copyCost float64
 		if prop.Moved() {
 			// Rent vs buy: the per-window saving (undo the fixed-point
 			// scale) must repay the copy within the payback horizon.
-			benefit := (prop.CurCost - prop.NewCost) / 16
-			copyCost := float64(d.m.Mem.RegionWords(s.Region)) * d.costs.Ring
+			benefit = (prop.CurCost - prop.NewCost) / 16
+			copyCost = float64(d.m.Mem.RegionWords(s.Region)) * d.costs.Ring
 			if !autonomic.Worthwhile(benefit, payback, copyCost) {
 				prop.Proposed = prop.Home
 			}
@@ -275,24 +249,20 @@ func (d *Daemon) Tick(now sim.Time) {
 		if home < n {
 			load[home] -= slotTotal
 		}
-		d.moves = append(d.moves, Move{Slot: s.Name, From: home, To: to, At: now})
 		exec := home
 		if d.p.Exec != nil {
 			exec = d.p.Exec(home)
 		}
-		mig := s.Migrate
-		d.m.SendIPI(exec, func(h *sim.Proc) { mig(h, to) })
+		// The gain is the current home's excess cost over the optimum's,
+		// the quantity propose() held against the Improve band.
+		dec := autonomic.Decision{At: now, Policy: d.Name(), Object: s.Name, Kind: "migrate",
+			Choice: fmt.Sprintf("module %d", to), RunnerUp: fmt.Sprintf("module %d", home),
+			Signal: "gain", Value: prop.CurCost/prop.BestCost - 1, Threshold: d.p.Improve,
+			Price: copyCost, RunnerUpPrice: benefit * payback}
+		d.moves = append(d.moves, dec)
+		dec.Emit(d.m, exec)
+		d.m.SendIPI(exec, func(h *sim.Proc) { s.Migrate(h, to) })
 	}
-}
-
-// Report renders the move log as an indented block.
-func (d *Daemon) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "placement daemon: %d windows, %d moves\n", d.ticks, len(d.moves))
-	for _, mv := range d.moves {
-		fmt.Fprintf(&b, "  t=%-12v %-12s module %d -> %d\n", mv.At, mv.Slot, mv.From, mv.To)
-	}
-	return b.String()
 }
 
 // ManageKernel builds the daemon's slot list from a kernel configured with
@@ -302,7 +272,6 @@ func (d *Daemon) Report() string {
 func ManageKernel(k *kernel.Kernel) []DaemonSlot {
 	var slots []DaemonSlot
 	for _, ref := range k.MigratableSlots() {
-		ref := ref
 		slots = append(slots, DaemonSlot{
 			Name:   ref.Name(),
 			Region: ref.Region,
@@ -326,7 +295,6 @@ func ManageKernel(k *kernel.Kernel) []DaemonSlot {
 func ReplicateKernel(k *kernel.Kernel, agg *trace.Aggregate) []autonomic.ReplicaSlot {
 	var slots []autonomic.ReplicaSlot
 	for _, ref := range k.MigratableSlots() {
-		ref := ref
 		region := ref.Region
 		slots = append(slots, autonomic.ReplicaSlot{
 			Name:   ref.Name(),

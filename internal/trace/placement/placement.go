@@ -49,8 +49,9 @@ type Proposal struct {
 	// weighted by.
 	Weight uint64
 	// CurCost and NewCost are the weighted access costs (cycles) at the
-	// current and proposed home.
-	CurCost, NewCost float64
+	// current and proposed home; BestCost is the optimum's, which the
+	// indifference band is measured from.
+	CurCost, NewCost, BestCost float64
 	// CurByDist and NewByDist split Weight by distance class at the
 	// current and proposed home.
 	CurByDist, NewByDist [sim.NumDistClasses]uint64
@@ -177,7 +178,7 @@ func propose(object string, home int, vector []uint64, topo autonomic.Topo, cost
 	}
 	return Proposal{
 		Object: object, Home: home, Proposed: choice, Weight: w,
-		CurCost: cur, NewCost: cost(choice),
+		CurCost: cur, NewCost: cost(choice), BestCost: bestCost,
 		CurByDist: byDist(home), NewByDist: byDist(choice),
 	}
 }

@@ -185,39 +185,15 @@ func (s *Stack) AttachRegion(m *sim.Machine, exec func(home int) int, name strin
 		}})
 }
 
-// Counts reports what the plane did: windows ticked, moves made, and
-// replications and collapses requested.
-func (s *Stack) Counts() (windows uint64, moves, replications, collapses int) {
-	if s.Plane != nil {
-		windows = s.Plane.Ticks()
+// Decisions returns the data policies' decision logs as one: the
+// replicator's, then the daemon's. Callers count actions by Kind.
+func (s *Stack) Decisions() []autonomic.Decision {
+	var ds []autonomic.Decision
+	if s.Replicator != nil {
+		ds = append(ds, s.Replicator.Actions()...)
 	}
 	if s.Daemon != nil {
-		moves = len(s.Daemon.Moves())
+		ds = append(ds, s.Daemon.Moves()...)
 	}
-	if s.Replicator != nil {
-		for _, a := range s.Replicator.Actions() {
-			if a.Kind == "collapse" {
-				collapses++
-			} else {
-				replications++
-			}
-		}
-	}
-	return windows, moves, replications, collapses
-}
-
-// Report renders the plane's schedule, then the replication and migration
-// logs of the policies that ran.
-func (s *Stack) Report() string {
-	if s.Plane == nil {
-		return ""
-	}
-	out := s.Plane.Report()
-	if s.Replicator != nil {
-		out += s.Replicator.Report()
-	}
-	if s.Daemon != nil {
-		out += s.Daemon.Report()
-	}
-	return out
+	return ds
 }

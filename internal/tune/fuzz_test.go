@@ -77,15 +77,21 @@ func decodeSample(now sim.Time, b []byte) Sample {
 // observation windows and checks its invariants after every one: cap and
 // head stay within their bounds, consecutive mode switches are more than
 // DwellWindows windows apart, the switch counter matches the observed
-// transitions, and cohort mode is never reached on a one-station machine.
+// transitions, cohort mode is never reached on a one-station machine, and
+// a window yields a decision exactly when it changes the state — a mode
+// decision when the mode changed — naming the signal that fired.
 func FuzzObserve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stations uint8, maxRaw uint64, windows []byte) {
 		p := Params{MaxCap: fuzzMaxCap(maxRaw), Stations: 1 + int(stations%16)}
 		c := NewController(p)
 		last, switches := -1, uint64(0)
 		for i := 0; (i+1)*fuzzWindowBytes <= len(windows); i++ {
-			prev := c.Mode()
-			c.Observe(decodeSample(sim.Time(i+1)*Period, windows[i*fuzzWindowBytes:]))
+			prev, prevCap, prevHead := c.Mode(), c.BackoffCap(), c.HeadBackoff()
+			d, ok := c.Observe(decodeSample(sim.Time(i+1)*Period, windows[i*fuzzWindowBytes:]))
+			changed := c.Mode() != prev || c.BackoffCap() != prevCap || c.HeadBackoff() != prevHead
+			if ok != changed || ok && (d.Signal == "" || (d.Kind == "mode") != (c.Mode() != prev)) {
+				t.Fatalf("window %d: decision %+v (ok=%v) for a state change of %v", i, d, ok, changed)
+			}
 			if cap := c.BackoffCap(); cap < MinCap || cap > p.MaxCap {
 				t.Fatalf("window %d: cap %v outside [%v, %v]", i, cap, MinCap, p.MaxCap)
 			}

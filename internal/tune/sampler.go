@@ -1,47 +1,41 @@
 package tune
 
 import (
+	"fmt"
+
 	"hurricane/internal/sim"
 )
 
-// Sampler is the controller's observation hook as an autonomic policy:
+// sampler is the controller's observation hook as an autonomic policy:
 // each Tick samples the home module's utilization over the elapsed window
 // plus the lock's cumulative counters (via probe, read at zero simulated
 // cost) and feeds the windowed diff to the controller. It neither consumes
 // simulated time nor keeps the run alive — determinism is preserved, and
 // the only feedback path into the simulation is the constants the
-// controller publishes.
+// controller publishes. Its decisions also go to the trace, as instants.
 //
 // Resource statistics are windowed (experiments call ResetStats mid-run to
 // open a measurement window), so the sampler diffs the cumulative busy
 // counter and resynchronizes whenever it observes the counter move
 // backwards: the window that straddles a reset is dropped rather than
 // mis-measured. Lock counters are monotone and need no such handling.
-type Sampler struct {
-	c     *Controller
-	home  *sim.Resource
-	probe func() Counters
+type sampler struct {
+	c      *Controller
+	m      *sim.Machine
+	region int // the lock word's module (or migratable region) id
+	home   *sim.Resource
+	probe  func() Counters
 
 	lastBusy sim.Duration
 	lastTime sim.Time
 	last     Counters
 }
 
-// NewSampler builds a sampler for controller c over the lock's home-module
-// resource; it snapshots the counters now, so the first window starts at
-// construction time.
-func NewSampler(home *sim.Resource, probe func() Counters, c *Controller) *Sampler {
-	return &Sampler{c: c, home: home, probe: probe, lastBusy: home.Busy, last: probe()}
-}
-
-// Controller exposes the controller the sampler feeds.
-func (s *Sampler) Controller() *Controller { return s.c }
-
 // Name implements autonomic.Policy.
-func (s *Sampler) Name() string { return "tune" }
+func (s *sampler) Name() string { return "tune" }
 
 // Tick implements autonomic.Policy: one observation window.
-func (s *Sampler) Tick(now sim.Time) {
+func (s *sampler) Tick(now sim.Time) {
 	busy := s.home.Busy
 	cur := s.probe()
 	defer func() {
@@ -52,7 +46,7 @@ func (s *Sampler) Tick(now sim.Time) {
 		// A ResetStats landed inside this window; skip it.
 		return
 	}
-	s.c.Observe(Sample{
+	d, ok := s.c.Observe(Sample{
 		Now:      now,
 		HomeUtil: float64(busy-s.lastBusy) / float64(now-s.lastTime),
 		Lock: Counters{
@@ -63,19 +57,26 @@ func (s *Sampler) Tick(now sim.Time) {
 			RemoteAcquisitions: cur.RemoteAcquisitions - s.last.RemoteAcquisitions,
 		},
 	})
+	if ok {
+		d.Emit(s.m, s.m.Mem.Home(s.region))
+	}
 }
 
-// Attach wires a Controller to a machine. With Params.Plane set the
-// sampler registers on the shared autonomics plane (one daemon cadence
-// ticks every policy in phase order); otherwise it self-schedules a
-// private daemon event every Period — the historical shape, byte-identical
-// to the plane at the same period because daemon events at one timestamp
-// fire in registration order either way.
-func Attach(eng *sim.Engine, home *sim.Resource, probe func() Counters, c *Controller) {
-	s := NewSampler(home, probe, c)
+// Attach wires a Controller to the lock whose word is at address word on
+// machine m, naming the lock by the word in its decisions. With
+// Params.Plane set the sampler registers on the shared autonomics plane
+// (one daemon cadence ticks every policy in phase order); otherwise it
+// self-schedules a private daemon event every Period — the historical
+// shape, byte-identical to the plane at the same period because daemon
+// events at one timestamp fire in registration order either way.
+func Attach(m *sim.Machine, word sim.Addr, probe func() Counters, c *Controller) {
+	region := word.Module()
+	c.object = fmt.Sprintf("lock@%d.%d", region, uint32(word))
+	s := &sampler{c: c, m: m, region: region, home: m.Mem.Module(region), probe: probe, last: probe()}
+	s.lastBusy = s.home.Busy
 	if pl := c.p.Plane; pl != nil {
 		pl.Add(s)
 		return
 	}
-	eng.Every(Period, s.Tick)
+	m.Eng.Every(Period, s.Tick)
 }

@@ -48,7 +48,6 @@ package tune
 
 import (
 	"fmt"
-	"strings"
 
 	"hurricane/internal/autonomic"
 	"hurricane/internal/sim"
@@ -134,7 +133,7 @@ const (
 	// speak, so stale pre-switch samples can never bounce the mode straight
 	// back.
 	DwellWindows = 4
-	// LogLimit bounds the retained decision log.
+	// LogLimit bounds the retained window and decision logs.
 	LogLimit = 256
 )
 
@@ -212,10 +211,10 @@ func (s Sample) failFrac() float64 {
 	return float64(s.Lock.Failures) / float64(s.Lock.Attempts)
 }
 
-// Decision is the controller's state after one observation, for reports.
-// HomeUtil is the raw window measurement; UtilEWMA is the smoothed value
-// the decision was actually taken on.
-type Decision struct {
+// Window is the controller's telemetry for one observation. HomeUtil is
+// the raw window measurement; UtilEWMA is the smoothed value the
+// controller acted on.
+type Window struct {
 	// At is the simulated time of the observation window's end.
 	At sim.Time
 	// HomeUtil is the window's raw home-module utilization.
@@ -228,12 +227,19 @@ type Decision struct {
 	FailFrac float64
 	// RingFrac is the smoothed cross-station acquisition fraction.
 	RingFrac float64
-	// Cap is the spin backoff cap in force after the decision.
+	// Cap is the spin backoff cap in force after the window.
 	Cap sim.Duration
-	// Head is the backoff head start in force after the decision.
+	// Head is the backoff head start in force after the window.
 	Head sim.Duration
-	// Mode is the lock shape in force after the decision.
+	// Mode is the lock shape in force after the window.
 	Mode Mode
+}
+
+// trigger is the signal that moved a constant: its name, the value the
+// controller acted on, and the threshold that value crossed.
+type trigger struct {
+	signal           string
+	value, threshold float64
 }
 
 // Controller adapts one lock's constants from measured utilization. All
@@ -284,7 +290,10 @@ type Controller struct {
 	dwell autonomic.Dwell
 	// switches counts mode transitions; samples counts observations.
 	switches, samples uint64
-	log               []Decision
+	log               []Window
+	decisions         []autonomic.Decision
+	// object names the tuned lock in its decisions (set by Attach).
+	object string
 }
 
 // NewController builds a controller starting in spin mode at MinCap — the
@@ -337,14 +346,22 @@ func (c *Controller) Samples() uint64 { return c.samples }
 // raises both signals, so offered load can never lower the chosen backoff
 // cap.
 func (p Params) NextCap(prev sim.Duration, util, waitUS float64) sim.Duration {
+	next, _ := p.nextCap(prev, util, waitUS)
+	return next
+}
+
+// nextCap is NextCap together with the trigger of the branch that fired.
+func (p Params) nextCap(prev sim.Duration, util, waitUS float64) (sim.Duration, trigger) {
 	p = p.withDefaults()
 	target := sim.Micros(WaitFactor * waitUS)
-	next := prev
+	next, why := prev, trigger{}
 	switch {
-	case util >= SatHigh || target >= 2*prev:
-		next = prev * 2
+	case util >= SatHigh:
+		next, why = prev*2, trigger{"util", util, SatHigh}
+	case target >= 2*prev:
+		next, why = prev*2, trigger{"wait_us", waitUS, (2 * prev).Microseconds() / WaitFactor}
 	case target <= prev/2:
-		next = prev / 2
+		next, why = prev/2, trigger{"wait_us", waitUS, (prev / 2).Microseconds() / WaitFactor}
 	}
 	if next < MinCap {
 		next = MinCap
@@ -352,22 +369,22 @@ func (p Params) NextCap(prev sim.Duration, util, waitUS float64) sim.Duration {
 	if next > p.MaxCap {
 		next = p.MaxCap
 	}
-	return next
+	return next, why
 }
 
 // nextHead applies the utilization half of the law to the queue-head
 // polling cap. Only the utilization signal drives it: in queue mode the
 // head is the sole poller, so its wait reflects hold time, not bandwidth
 // pressure.
-func nextHead(prev sim.Duration, util float64) sim.Duration {
-	next := prev
+func nextHead(prev sim.Duration, util float64) (sim.Duration, trigger) {
+	next, why := prev, trigger{}
 	switch {
 	case util >= SatHigh:
-		next = prev * 2
+		next, why = prev*2, trigger{"util", util, SatHigh}
 	case util <= SatLow:
-		next = prev / 2
+		next, why = prev/2, trigger{"util", util, SatLow}
 	}
-	return min(max(next, MinHead), MaxHead)
+	return min(max(next, MinHead), MaxHead), why
 }
 
 // Observe consumes one sampling window and updates the published constants.
@@ -393,17 +410,21 @@ func nextHead(prev sim.Duration, util float64) sim.Duration {
 // (neutral: forces no decision either way) and no further switch is
 // permitted for DwellWindows windows — at most one switch per dwell
 // period, by construction.
-func (c *Controller) Observe(s Sample) {
+// A window that changes the mode, cap or head returns a Decision naming
+// the most significant change, the trigger of its branch, and the state
+// left as the runner-up.
+func (c *Controller) Observe(s Sample) (autonomic.Decision, bool) {
 	c.samples++
-	prevMode := c.mode
+	prevMode, prevCap, prevHead := c.mode, c.cap, c.head
 	c.wait.Observe(float64(s.Lock.WaitCycles), float64(s.Lock.Acquisitions))
 	waitUS := c.wait.Value() / sim.CyclesPerMicrosecond
 	ringFrac := c.ring.Observe(float64(s.Lock.RemoteAcquisitions), float64(s.Lock.Acquisitions))
 	c.att.Add(float64(s.Lock.Attempts))
 	util := c.util.Observe(s.HomeUtil)
 	atMax := c.cap == c.p.MaxCap
-	c.cap = c.p.NextCap(c.cap, util, waitUS)
-	c.head = nextHead(c.head, util)
+	var capWhy, headWhy, modeWhy trigger
+	c.cap, capWhy = c.p.nextCap(c.cap, util, waitUS)
+	c.head, headWhy = nextHead(c.head, util)
 	if c.dwell.Ready() {
 		// ringBound: most acquisitions arrive over the ring AND the mean
 		// wait is past the CohortWait threshold. Home-module utilization
@@ -422,22 +443,23 @@ func (c *Controller) Observe(s Sample) {
 		switch c.mode {
 		case ModeSpin:
 			if c.band.Above(util) && atMax {
-				c.mode = ModeQueue
+				c.mode, modeWhy = ModeQueue, trigger{"util", util, SatHigh}
 			}
 		case ModeQueue:
 			switch {
-			case ringBound,
-				c.band.Above(util) && c.p.Stations > 1 && ringFrac >= RingFrac:
+			case ringBound:
+				c.mode, modeWhy = ModeCohort, trigger{"wait_us", waitUS, CohortWait.Microseconds()}
+			case c.band.Above(util) && c.p.Stations > 1 && ringFrac >= RingFrac:
 				// Saturated with local-only spinning AND most acquisitions
 				// arrive over the ring: hand-off traffic itself is the load,
 				// which is what station-batched cohort grants relieve.
-				c.mode = ModeCohort
+				c.mode, modeWhy = ModeCohort, trigger{"ring_frac", ringFrac, RingFrac}
 			case c.band.Below(util) && !wedged && waitUS <= c.cap.Microseconds():
 				// Retreat to spin only when the waits actually being served
 				// fit under the backoff cap the spin stance would resume
 				// with; a wait the cap cannot absorb means the low module
 				// reading is drain, not idleness.
-				c.mode = ModeSpin
+				c.mode, modeWhy = ModeSpin, trigger{"util", util, SatLow}
 			}
 		case ModeCohort:
 			// The ring signal cannot arbitrate a cohort retreat: station
@@ -447,7 +469,7 @@ func (c *Controller) Observe(s Sample) {
 			// forced the escalation.
 			if c.band.Below(util) && !wedged &&
 				waitUS < CohortWait.Microseconds()/2 {
-				c.mode = ModeQueue
+				c.mode, modeWhy = ModeQueue, trigger{"wait_us", waitUS, CohortWait.Microseconds() / 2}
 			}
 		}
 	}
@@ -465,39 +487,39 @@ func (c *Controller) Observe(s Sample) {
 		c.dwell.Arm()
 	}
 	if len(c.log) < LogLimit {
-		c.log = append(c.log, Decision{
+		c.log = append(c.log, Window{
 			At: s.Now, HomeUtil: s.HomeUtil, UtilEWMA: util, WaitUS: waitUS,
 			FailFrac: s.failFrac(), RingFrac: c.ring.Value(),
 			Cap: c.cap, Head: c.head, Mode: c.mode,
 		})
 	}
-}
-
-// Log returns the retained decision history (oldest first).
-func (c *Controller) Log() []Decision { return c.log }
-
-// Report renders the decision history and final state as an indented block.
-func (c *Controller) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "tuner: %d windows, %d mode switches; final mode %s, cap %.0fus, head %.0fus\n",
-		c.samples, c.switches, c.mode, c.cap.Microseconds(), c.head.Microseconds())
-	// Print the log compressed: only windows where something changed.
-	var prev Decision
-	shown := 0
-	for i, d := range c.log {
-		if i > 0 && d.Cap == prev.Cap && d.Head == prev.Head && d.Mode == prev.Mode {
-			prev = d
-			continue
-		}
-		fmt.Fprintf(&b, "  t=%-12v util %4.0f%% (ewma %3.0f%%)  wait %7.1fus  ring %3.0f%%  cap %6.0fus  head %4.0fus  %s\n",
-			d.At, d.HomeUtil*100, d.UtilEWMA*100, d.WaitUS, d.RingFrac*100,
-			d.Cap.Microseconds(), d.Head.Microseconds(), d.Mode)
-		prev = d
-		shown++
-		if shown >= 32 {
-			fmt.Fprintf(&b, "  ... (%d more windows)\n", len(c.log)-i-1)
-			break
-		}
+	kind, why := "mode", modeWhy
+	switch {
+	case c.mode != prevMode:
+	case c.cap != prevCap:
+		kind, why = "cap", capWhy
+	case c.head != prevHead:
+		kind, why = "head", headWhy
+	default:
+		return autonomic.Decision{}, false
 	}
-	return b.String()
+	d := autonomic.Decision{At: s.Now, Policy: "tune", Object: c.object, Kind: kind,
+		Choice: state(c.mode, c.cap, c.head), RunnerUp: state(prevMode, prevCap, prevHead),
+		Signal: why.signal, Value: why.value, Threshold: why.threshold}
+	if len(c.decisions) < LogLimit {
+		c.decisions = append(c.decisions, d)
+	}
+	return d, true
 }
+
+// state names a controller state in a decision.
+func state(m Mode, cap, head sim.Duration) string {
+	return fmt.Sprintf("%s cap %gus head %gus", m, cap.Microseconds(), head.Microseconds())
+}
+
+// Log returns the retained window log (oldest first).
+func (c *Controller) Log() []Window { return c.log }
+
+// Decisions returns the retained decision log (oldest first): every window
+// that changed the mode, the cap or the head.
+func (c *Controller) Decisions() []autonomic.Decision { return c.decisions }

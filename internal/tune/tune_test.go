@@ -1,9 +1,11 @@
 package tune
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"hurricane/internal/autonomic"
 	"hurricane/internal/sim"
 )
 
@@ -400,12 +402,12 @@ func TestCapStableUnderBimodalWait(t *testing.T) {
 // the sampler's windowed diffing, including dropping the window that
 // straddles a ResetStats.
 func TestAttachSamplesUtilization(t *testing.T) {
-	eng := sim.NewEngine()
-	res := &sim.Resource{Name: "module0"}
+	m := sim.NewMachine(sim.Config{})
+	eng, res := m.Eng, m.Mem.Module(0)
 	c := NewController(Params{})
 	var utils []float64
 	// Shadow controller observation via the log.
-	Attach(eng, res, func() Counters { return Counters{} }, c)
+	Attach(m, m.Mem.Alloc(0, 1), func() Counters { return Counters{} }, c)
 	// Event times in hundredths of a sampling Period. Window 1 [0,100]: 50
 	// busy. Window 2 [100,200]: reset at 150. Window 3 [200,300]: 30 busy.
 	at := func(x sim.Time) sim.Time { return x * Period / 100 }
@@ -434,11 +436,11 @@ func TestAttachSamplesUtilization(t *testing.T) {
 // TestAttachDiffsLockCounters checks the sampler hands the controller
 // per-window lock counter diffs, not cumulative values.
 func TestAttachDiffsLockCounters(t *testing.T) {
-	eng := sim.NewEngine()
-	res := &sim.Resource{Name: "module0"}
+	m := sim.NewMachine(sim.Config{})
+	eng := m.Eng
 	c := NewController(Params{})
 	cum := Counters{}
-	Attach(eng, res, func() Counters { return cum }, c)
+	Attach(m, m.Mem.Alloc(0, 1), func() Counters { return cum }, c)
 	eng.At(Period/10, func() {
 		cum = Counters{Attempts: 5, Failures: 2, Acquisitions: 3, WaitCycles: 90}
 	})
@@ -467,12 +469,30 @@ func TestAttachDiffsLockCounters(t *testing.T) {
 	}
 }
 
-// TestControllerReportRendering sanity-checks the text report.
+// TestControllerReportRendering checks the decision record of a window
+// that changes the state: one Decision, kept in the log, naming the signal
+// and threshold that fired and the state the controller left, and
+// rendered with all three.
 func TestControllerReportRendering(t *testing.T) {
 	c := NewController(Params{})
-	c.Observe(Sample{Now: 100, HomeUtil: 0.9, Lock: Counters{Attempts: 10, Failures: 5}})
-	s := c.Report()
-	if s == "" || c.Samples() != 1 {
-		t.Fatalf("empty report or samples=%d", c.Samples())
+	if _, ok := c.Observe(Sample{Now: 100}); ok {
+		t.Fatalf("an idle window at the floor changed the state: %v", c.Decisions())
+	}
+	// A 100us mean wait puts the cap target past twice the 8us floor.
+	d, ok := c.Observe(Sample{Now: 200, Lock: Counters{Acquisitions: 1, WaitCycles: sim.Micros(100)}})
+	if !ok || c.Samples() != 2 || len(c.Decisions()) != 1 || c.Decisions()[0] != d {
+		t.Fatalf("ok=%v samples=%d decisions=%v", ok, c.Samples(), c.Decisions())
+	}
+	want := autonomic.Decision{At: 200, Policy: "tune", Kind: "cap",
+		Choice: "spin cap 16us head 2us", RunnerUp: "spin cap 8us head 2us",
+		Signal: "wait_us", Value: 100, Threshold: 16}
+	if d != want {
+		t.Fatalf("decision\n got %+v\nwant %+v", d, want)
+	}
+	s := autonomic.Render("tuner", c.Decisions())
+	for _, part := range []string{"tuner, 1 decisions", "cap -> spin cap 16us", "wait_us 100, threshold 16", "runner-up spin cap 8us head 2us"} {
+		if !strings.Contains(s, part) {
+			t.Errorf("rendering lacks %q:\n%s", part, s)
+		}
 	}
 }

@@ -123,7 +123,7 @@ func TestServerControllerInteraction(t *testing.T) {
 			t.Errorf("controller %d: %d mode switches under flash crowd (oscillation)", i, c.Switches())
 		}
 		// The dwell guarantee, end to end: consecutive switches in the
-		// decision log are at least DwellWindows windows apart.
+		// window log are at least DwellWindows windows apart.
 		log := c.Log()
 		last := -1
 		for j := 1; j < len(log); j++ {
@@ -140,7 +140,7 @@ func TestServerControllerInteraction(t *testing.T) {
 	budget := daemon.Params().Budget
 	perSlot := map[string]int{}
 	for _, mv := range daemon.Moves() {
-		perSlot[mv.Slot]++
+		perSlot[mv.Object]++
 	}
 	for slot, n := range perSlot {
 		if n > budget {
