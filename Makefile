@@ -87,16 +87,16 @@ perfbench-test:
 # autonomics run must then carry its decisions into the trace: traceanal's
 # decisions section lists the replications the plane made.
 trace-smoke:
-	$(GO) run ./cmd/clustersim -size 16 -procs 8 -rounds 5 -trace /tmp/hurricane_smoke.json > /dev/null
+	$(GO) run ./cmd/lockstat -run independent -size 16 -procs 8 -rounds 5 -trace /tmp/hurricane_smoke.json > /dev/null
 	$(GO) run ./cmd/traceanal /tmp/hurricane_smoke.json > /tmp/hurricane_smoke.txt
 	grep -q "data placement" /tmp/hurricane_smoke.txt
 	grep -q "lock placement" /tmp/hurricane_smoke.txt
 	grep -q "span vm.fault" /tmp/hurricane_smoke.txt
 	@echo "trace-smoke: traced kernel run produced a placement report"
-	$(GO) run ./cmd/clustersim -size 16 -procs 4 -rounds 8 -migrate > /tmp/hurricane_migrate.txt
+	$(GO) run ./cmd/lockstat -run independent -size 16 -procs 4 -rounds 8 -migrate > /tmp/hurricane_migrate.txt
 	grep -Eq "migrations: [1-9]" /tmp/hurricane_migrate.txt
 	@echo "trace-smoke: online placement daemon migrated kernel data mid-run"
-	$(GO) run ./cmd/clustersim -size 16 -procs 4 -rounds 8 -autonomic -trace /tmp/hurricane_autotrace.json > /dev/null
+	$(GO) run ./cmd/lockstat -run independent -size 16 -procs 4 -rounds 8 -autonomic -trace /tmp/hurricane_autotrace.json > /dev/null
 	$(GO) run ./cmd/traceanal /tmp/hurricane_autotrace.json > /tmp/hurricane_autotrace.txt
 	sed -n '/^decisions: /,$$p' /tmp/hurricane_autotrace.txt | grep -Eq "^  t=[0-9.]+us +replicate "
 	@echo "trace-smoke: traced autonomics run lists its replications among the trace's decisions"
@@ -117,16 +117,16 @@ server-smoke: quick-jobs8
 
 # End-to-end check of the kernel autonomics plane: the combined
 # tune+migrate+replicate run must beat every single policy on the mixed
-# tenant workload (the tentpole acceptance metric), and both interactive
-# harnesses must run the full plane under one cadence.
+# tenant workload (the tentpole acceptance metric), and lockstat's fault
+# and server runs must both run the full plane under one cadence.
 autonomic-smoke: quick-jobs8
 	grep -A 1 '"hector16.combined_wins"' $(QUICK8) | grep -q '"value": 3'
-	$(GO) run ./cmd/clustersim -size 16 -procs 4 -rounds 8 -autonomic > /tmp/hurricane_autosim.txt
+	$(GO) run ./cmd/lockstat -run independent -size 16 -procs 4 -rounds 8 -autonomic > /tmp/hurricane_autosim.txt
 	grep -q "autonomics plane" /tmp/hurricane_autosim.txt
 	grep -Eq "replication policy: [0-9]+ windows, [1-9]" /tmp/hurricane_autosim.txt
 	$(GO) run ./cmd/lockstat -run server -autonomic -ms 6 > /tmp/hurricane_autolock.txt
 	grep -q "autonomics plane" /tmp/hurricane_autolock.txt
-	@echo "autonomic-smoke: combined plane beats every single policy; both CLIs run it"
+	@echo "autonomic-smoke: combined plane beats every single policy; the fault and server runs both run it"
 
 # End-to-end check of the analytic model pipeline: a CI-scale
 # calibrate-and-validate cell must fit residuals, rank the lock zoo

@@ -1,15 +1,14 @@
-// traceanal analyzes a Chrome trace-event JSON file written by lockstat or
-// clustersim (-trace): it rebuilds the access and span aggregates from the
+// traceanal analyzes a Chrome trace-event JSON file written by lockstat
+// -trace: it rebuilds the access and span aggregates from the
 // event stream and runs the placement analyzer over them, proposing the
 // home module for each piece of traced kernel data — and each lock — that
 // minimizes ring crossings, then lists the autonomics plane's decisions.
 //
-//	clustersim -size 16 -rounds 10 -trace trace.json
+//	lockstat -run independent -size 16 -rounds 10 -trace trace.json
 //	traceanal trace.json
 //
 // The machine topology and latency weights are read from the trace's
-// otherData.machine metadata, which every lockstat and clustersim trace
-// carries. A trace without it is rejected (exit 1): guessing the machine
+// otherData.machine metadata, which every lockstat trace carries. A trace without it is rejected (exit 1): guessing the machine
 // would silently misclassify every access distance.
 package main
 

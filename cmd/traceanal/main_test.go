@@ -60,8 +60,8 @@ func TestAnalyzeReadsMachineMetadata(t *testing.T) {
 
 // The offline pipeline (Chrome JSON -> analyze) must rebuild the same
 // aggregate, and reach the same placement report, as the in-process
-// aggregate of the same traced kernel run: `clustersim -size 16 -procs 8 -rounds 5`,
-// whose one cluster spans all four stations, so the report proposes moves.
+// aggregate of the same traced kernel run: `lockstat -run independent
+// -size 16 -procs 8 -rounds 5`, whose one cluster spans all four stations, so the report proposes moves.
 func TestAnalyzeMatchesInProcessAggregate(t *testing.T) {
 	cfg := sim.Config{Seed: 1}
 	chrome := trace.NewChrome()

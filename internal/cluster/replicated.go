@@ -51,14 +51,6 @@ func (r *Replicated) maskOff() sim.Addr { return hybrid.EntData + sim.Addr(r.pay
 // user words, protected by coarse locks of the given kind. Each cluster's
 // instance is placed on the cluster's home module.
 func NewReplicated(topo *Topology, rpc *RPC, nbuckets, payload int, kind locks.Kind) *Replicated {
-	return NewReplicatedAt(topo, rpc, nbuckets, payload, kind, 0)
-}
-
-// NewReplicatedAt places each cluster's instance on a module chosen by
-// slot, striding across the cluster's modules (and stations, for large
-// clusters) so different kernel tables spread over the cluster's memory
-// instead of piling onto one module.
-func NewReplicatedAt(topo *Topology, rpc *RPC, nbuckets, payload int, kind locks.Kind, slot int) *Replicated {
 	r := &Replicated{
 		topo:    topo,
 		rpc:     rpc,
@@ -66,7 +58,7 @@ func NewReplicatedAt(topo *Topology, rpc *RPC, nbuckets, payload int, kind locks
 		payload: payload,
 	}
 	for c := 0; c < topo.N; c++ {
-		r.tables[c] = hybrid.New(topo.M, topo.SlotModule(c, slot), nbuckets, payload+1, kind)
+		r.tables[c] = hybrid.New(topo.M, topo.HomeModule(c), nbuckets, payload+1, kind)
 	}
 	r.HomeOf = func(key uint64) int { return int(key % uint64(topo.N)) }
 	return r

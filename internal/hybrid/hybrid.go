@@ -27,6 +27,14 @@ const (
 	EntData   = 3
 )
 
+// Waiters on a busy element back off exponentially from backoffInit to
+// backoffMax: the reserve-bit spin of the hybrid table and the
+// per-element swap retry of the fine-grained baseline.
+const (
+	backoffInit sim.Duration = 2 * sim.CyclesPerMicrosecond
+	backoffMax  sim.Duration = 35 * sim.CyclesPerMicrosecond
+)
+
 // Mode selects how an element is reserved.
 type Mode int
 
@@ -48,9 +56,6 @@ type Table struct {
 	nbuckets int
 	payload  int
 	home     int
-
-	// BackoffInit and BackoffMax govern reserve-bit spinning.
-	BackoffInit, BackoffMax sim.Duration
 
 	// Guard, if set, brackets every coarse-lock critical section. The
 	// kernel installs the logical interrupt mask (§3.2) here: the mask is
@@ -80,14 +85,12 @@ func New(m *sim.Machine, home, nbuckets, payload int, kind locks.Kind) *Table {
 // primitives of every table it protects in a single hold.
 func NewShared(m *sim.Machine, lock locks.Lock, home, nbuckets, payload int) *Table {
 	return &Table{
-		m:           m,
-		lock:        lock,
-		buckets:     m.Mem.Alloc(home, nbuckets),
-		nbuckets:    nbuckets,
-		payload:     payload,
-		home:        home,
-		BackoffInit: sim.Micros(2),
-		BackoffMax:  sim.Micros(35),
+		m:        m,
+		lock:     lock,
+		buckets:  m.Mem.Alloc(home, nbuckets),
+		nbuckets: nbuckets,
+		payload:  payload,
+		home:     home,
 	}
 }
 
@@ -254,7 +257,7 @@ func (t *Table) Remove(p *sim.Proc, key uint64) (sim.Addr, bool) {
 // the search. Returns the reserved entry, or 0 if the key is (or becomes)
 // absent.
 func (t *Table) Reserve(p *sim.Proc, key uint64, mode Mode) (sim.Addr, bool) {
-	backoff := t.BackoffInit
+	backoff := backoffInit
 	for {
 		var e sim.Addr
 		got := false
@@ -284,8 +287,8 @@ func (t *Table) Reserve(p *sim.Proc, key uint64, mode Mode) (sim.Addr, bool) {
 				break
 			}
 			backoff *= 2
-			if backoff > t.BackoffMax {
-				backoff = t.BackoffMax
+			if backoff > backoffMax {
+				backoff = backoffMax
 			}
 		}
 		t.ReserveRetries++

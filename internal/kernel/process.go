@@ -236,9 +236,9 @@ func (pm *ProcessManager) Alive(pidKey uint64) bool {
 	return pm.tables[HomeOf(pidKey)].PeekSearch(pidKey) != 0
 }
 
-// PeekField reads a descriptor field with no simulated cost
+// peekField reads a descriptor field with no simulated cost
 // (instrumentation). Returns 0 for missing descriptors.
-func (pm *ProcessManager) PeekField(pidKey uint64, off sim.Addr) uint64 {
+func (pm *ProcessManager) peekField(pidKey uint64, off sim.Addr) uint64 {
 	e := pm.tables[HomeOf(pidKey)].PeekSearch(pidKey)
 	if e == 0 {
 		return 0
@@ -248,23 +248,23 @@ func (pm *ProcessManager) PeekField(pidKey uint64, off sim.Addr) uint64 {
 
 // Msgs reads the received-message counter (uncharged instrumentation).
 func (pm *ProcessManager) Msgs(pidKey uint64) uint64 {
-	return pm.PeekField(pidKey, dMsgs)
+	return pm.peekField(pidKey, dMsgs)
 }
 
 // Sent reads the sent-message counter (uncharged instrumentation).
 func (pm *ProcessManager) Sent(pidKey uint64) uint64 {
-	return pm.PeekField(pidKey, dSent)
+	return pm.peekField(pidKey, dSent)
 }
 
 // FirstChild reads the family-tree head link (uncharged instrumentation).
 func (pm *ProcessManager) FirstChild(pidKey uint64) uint64 {
-	return pm.PeekField(pidKey, dFirstChild)
+	return pm.peekField(pidKey, dFirstChild)
 }
 
 // NextSibling reads the family-tree sibling link (uncharged
 // instrumentation).
 func (pm *ProcessManager) NextSibling(pidKey uint64) uint64 {
-	return pm.PeekField(pidKey, dNextSib)
+	return pm.peekField(pidKey, dNextSib)
 }
 
 // Destroy removes a leaf process from the system and from its parent's

@@ -25,18 +25,10 @@ type Spin struct {
 // NewSpin builds a backoff spin lock with the given cap, homed on module
 // home. The initial backoff is one microsecond.
 func NewSpin(m *sim.Machine, home int, max sim.Duration) *Spin {
-	return NewSpinFull(m, home, sim.Micros(1), max)
-}
-
-// NewSpinFull also sets the initial backoff.
-func NewSpinFull(m *sim.Machine, home int, initial, max sim.Duration) *Spin {
-	if initial == 0 {
-		initial = 1
-	}
 	return &Spin{
 		m:       m,
 		lock:    m.Alloc(home, 1),
-		Initial: initial,
+		Initial: sim.Micros(1),
 		Max:     max,
 		name:    fmt.Sprintf("Spin-%gus", max.Microseconds()),
 	}

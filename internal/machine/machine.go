@@ -14,11 +14,6 @@ func Hector16(seed uint64) sim.Config {
 	return sim.Config{Stations: 4, ProcsPerStation: 4, Seed: seed}
 }
 
-// Hector at arbitrary size keeps HECTOR timing but scales the topology.
-func Hector(stations, procsPerStation int, seed uint64) sim.Config {
-	return sim.Config{Stations: stations, ProcsPerStation: procsPerStation, Seed: seed}
-}
-
 // HectorWithCAS is HECTOR extended with a compare-and-swap primitive, used
 // by the lock-free ablation (§5.2 "Advanced atomic primitives").
 func HectorWithCAS(seed uint64) sim.Config {
@@ -75,6 +70,3 @@ func NUMAchine1024(seed uint64) sim.Config {
 	c.Lat.Ring2 = 160
 	return c
 }
-
-// New builds a machine from a config (convenience wrapper).
-func New(cfg sim.Config) *sim.Machine { return sim.NewMachine(cfg) }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestHector16Preset(t *testing.T) {
-	m := New(Hector16(1))
+	m := sim.NewMachine(Hector16(1))
 	if m.NumProcs() != 16 {
 		t.Fatalf("procs = %d", m.NumProcs())
 	}
@@ -19,18 +19,8 @@ func TestHector16Preset(t *testing.T) {
 	}
 }
 
-func TestHectorScaled(t *testing.T) {
-	m := New(Hector(2, 8, 3))
-	if m.NumProcs() != 16 {
-		t.Fatalf("procs = %d", m.NumProcs())
-	}
-	if m.Procs[9].Station() != 1 {
-		t.Fatal("station mapping wrong for 2x8")
-	}
-}
-
 func TestHectorWithCAS(t *testing.T) {
-	m := New(HectorWithCAS(1))
+	m := sim.NewMachine(HectorWithCAS(1))
 	a := m.Alloc(0, 1)
 	m.Go(0, func(p *sim.Proc) {
 		if _, ok := p.CAS(a, 0, 7); !ok {
@@ -42,7 +32,7 @@ func TestHectorWithCAS(t *testing.T) {
 
 func TestNUMAchine64Preset(t *testing.T) {
 	cfg := NUMAchine64(2)
-	m := New(cfg)
+	m := sim.NewMachine(cfg)
 	if m.NumProcs() != 64 {
 		t.Fatalf("procs = %d", m.NumProcs())
 	}

@@ -20,8 +20,8 @@ const (
 	// RowServer is exp.AutonomicSweep's, and lockstat -run server
 	// -autonomic's.
 	RowServer
-	// RowFault is exp.PlacementOnline's, and clustersim -migrate and
-	// -autonomic's.
+	// RowFault is exp.PlacementOnline's, and lockstat -run
+	// independent|shared -migrate and -autonomic's.
 	RowFault
 )
 
@@ -52,8 +52,8 @@ var rows = [...]struct {
 	// access/window steady rate clears it; and three confirming windows
 	// before any copy. The daemon's cooldown is eight of these windows.
 	// The server row's thresholds make no replication at all on the
-	// 4-processor fault run (clustersim -size 16 -procs 4 -autonomic: 0
-	// actions against this row's 6), hence a row of its own.
+	// 4-processor fault run (lockstat -run independent -size 16 -procs 4
+	// -autonomic: 0 actions against this row's 6), hence a row of its own.
 	RowFault: {"fault", sim.Micros(25),
 		DaemonParams{Decay: 0.9, MinWeight: 0.25, Confirm: 3, Cooldown: sim.Micros(200)},
 		autonomic.ReplicatorParams{Decay: 0.9, MinWeight: 0.25, Confirm: 3}},

@@ -80,9 +80,9 @@ func TestStackWithoutPolicies(t *testing.T) {
 	}
 }
 
-// faultCell runs clustersim's -migrate or -autonomic cell (RowFault, one
-// 16-processor cluster, 4 independent faulters x 8 rounds, seed 1), with
-// chrome in the sink chain when non-nil. It returns the stack, the kernel's
+// faultCell runs lockstat -run independent's -migrate or -autonomic cell
+// (RowFault, one 16-processor cluster, 4 independent faulters x 8 rounds,
+// seed 1), with chrome in the sink chain when non-nil. It returns the stack, the kernel's
 // tuned-lock decisions, its managed slot names and the fault result.
 func faultCell(pol placement.Policies, chrome *trace.Chrome) (*placement.Stack, []autonomic.Decision, map[string]bool, workload.FaultResult) {
 	mc := sim.Config{Seed: 1}
