@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-wall results quick-jobs1 quick-jobs8 bench-diff bench-baseline jobs-equiv perfbench-test trace-smoke server-smoke autonomic-smoke model-smoke fuzz-smoke doc-lint profile
+.PHONY: ci fmt vet build test race bench bench-wall results quick-jobs1 quick-jobs8 bench-diff bench-baseline events-gate events-baseline jobs-equiv perfbench-test trace-smoke server-smoke autonomic-smoke model-smoke fuzz-smoke doc-lint profile
 
-ci: fmt vet build test race bench-diff jobs-equiv perfbench-test trace-smoke server-smoke autonomic-smoke model-smoke fuzz-smoke doc-lint
+ci: fmt vet build test race bench-diff events-gate jobs-equiv perfbench-test trace-smoke server-smoke autonomic-smoke model-smoke fuzz-smoke doc-lint
 
 # Every Go file must be gofmt-clean; the offending names go to stderr.
 fmt:
@@ -38,9 +38,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Simulator wall-clock throughput: ns of host time per simulated engine
-# event for the engine hot paths (dispatch, coalesced think, memory access,
-# contended swap, watch/park hand-off) and the lock acquire paths, plus the
-# serial quick suite's per-experiment wall time and events/sec.
+# event for the engine hot paths (dispatch, a 256-deep queue, coalesced
+# think, memory access, contended swap, a 256-processor backoff-swap
+# convoy, watch/park hand-off) and the lock acquire paths, plus the serial
+# quick suite's per-experiment wall time, engine events and events/sec.
 bench-wall:
 	$(GO) test -bench . -run NONE -benchmem ./internal/sim/ ./internal/locks/
 	$(GO) run ./cmd/hurricane-bench -quick -jobs 1 -wall /tmp/hurricane_wall.json
@@ -53,12 +54,15 @@ results:
 # produced once per make invocation (the targets are phony, so a stale file
 # from an earlier run is never trusted) and shared by every gate below that
 # reads quick-suite metrics: jobs-equiv compares the two, bench-diff and
-# the server, autonomic and model smokes read the jobs-8 file.
+# the server, autonomic and model smokes read the jobs-8 file. The serial
+# run also writes its wall report, whose per-experiment engine event counts
+# (exact only at -jobs 1) events-gate reads.
 QUICK1 := /tmp/hurricane_jobs1.json
 QUICK8 := /tmp/hurricane_jobs8.json
+WALL1 := /tmp/hurricane_wall1.json
 
 quick-jobs1:
-	$(GO) run ./cmd/hurricane-bench -quick -jobs 1 -json $(QUICK1) > /dev/null
+	$(GO) run ./cmd/hurricane-bench -quick -jobs 1 -json $(QUICK1) -wall $(WALL1) > /dev/null
 
 quick-jobs8:
 	$(GO) run ./cmd/hurricane-bench -quick -jobs 8 -json $(QUICK8) > /dev/null
@@ -68,6 +72,13 @@ quick-jobs8:
 # simulation is deterministic, so an unchanged tree diffs exactly.
 bench-diff: quick-jobs8
 	$(GO) run ./cmd/bench-diff -current $(QUICK8)
+
+# Engine-work gate: every experiment's engine events (dispatched + elided,
+# and elided alone) must equal the checked-in baseline exactly. Event counts
+# are deterministic, so an engine change that claims to keep the event
+# order cannot move them; a difference fails and names the experiment.
+events-gate: quick-jobs1
+	$(GO) run ./cmd/bench-diff -events -baseline BENCH_events.baseline.json -current $(WALL1)
 
 # Determinism gate for the worker pool: the quick summary must be
 # byte-identical when cells run serially and on an 8-way pool.
@@ -141,13 +152,16 @@ model-smoke: quick-jobs8
 	grep -q '"numachine256.pred_cross_spin_queue"' $(QUICK8)
 	@echo "model-smoke: calibrated model ranks the lock zoo correctly on all machines"
 
-# Short fuzzing pass over the tuner's pure surface: the cap law and the
-# controller over arbitrary window sequences. The checked-in seed corpora
-# in internal/tune/testdata/fuzz also run as plain tests under `make test`;
-# this target explores past them for a few seconds each.
+# Short fuzzing pass over the tuner's pure surface (the cap law and the
+# controller over arbitrary window sequences) and over the engine's event
+# order (the event queue against a sorted reference). The checked-in seed
+# corpora in internal/tune/testdata/fuzz and internal/sim/testdata/fuzz also
+# run as plain tests under `make test`; this target explores past them for
+# a few seconds each.
 fuzz-smoke:
 	$(GO) test ./internal/tune/ -run '^$$' -fuzz '^FuzzNextCap$$' -fuzztime 5s -parallel 2
 	$(GO) test ./internal/tune/ -run '^$$' -fuzz '^FuzzObserve$$' -fuzztime 5s -parallel 2
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 5s -parallel 2
 
 # Documentation gate: every exported identifier in the model, autonomic,
 # and tune packages carries a doc comment, and every intra-repo markdown
@@ -159,6 +173,11 @@ doc-lint:
 # (commit the result and explain the shift in the PR).
 bench-baseline:
 	$(GO) run ./cmd/hurricane-bench -quick -json BENCH_sim.baseline.json > /dev/null
+
+# Refresh the engine-work baseline after an intentional change to what the
+# engine dispatches or elides (commit it and explain the shift in the PR).
+events-baseline: quick-jobs1
+	jq '{seed, quick, experiments: [.experiments[] | {name, engine_events, elided_events}]}' $(WALL1) > BENCH_events.baseline.json
 
 # CPU/allocation profiles of the quick suite (serial, so one experiment's
 # profile is not polluted by another's goroutine): start here before any

@@ -14,6 +14,11 @@
 // Every metric is computed in simulated time, which is deterministic for a
 // fixed seed, so an unchanged tree diffs exactly; any delta at all is a
 // real behavior change.
+//
+//	bench-diff -events -baseline BENCH_events.baseline.json -current wall.json
+//
+// compares instead the per-experiment engine event counts of a -jobs 1
+// hurricane-bench -wall report, exactly (see events.go).
 package main
 
 import (
@@ -59,7 +64,11 @@ const tolerance = 0.05
 func main() {
 	basePath := flag.String("baseline", "BENCH_sim.baseline.json", "checked-in baseline summary")
 	curPath := flag.String("current", "BENCH_sim.json", "freshly generated summary")
+	events := flag.Bool("events", false, "compare the per-experiment engine event counts of two -jobs 1 wall reports")
 	flag.Parse()
+	if *events {
+		os.Exit(diffEvents(*basePath, *curPath))
+	}
 
 	base, err := load(*basePath)
 	if err != nil {

@@ -50,10 +50,16 @@ type WallReport struct {
 }
 
 // ExperimentWall is one experiment's wall time (under -jobs > 1 experiments
-// overlap, so these sum to more than total_seconds).
+// overlap, so these sum to more than total_seconds) and, at -jobs 1, its
+// engine work. The engine counters are process-wide, so only a serial run,
+// where experiments run one at a time, can attribute them; other runs omit
+// the counts. They are a pure function of (seed, quick), and `make
+// events-gate` holds them to BENCH_events.baseline.json exactly.
 type ExperimentWall struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
+	Name         string  `json:"name"`
+	Seconds      float64 `json:"seconds"`
+	EngineEvents *uint64 `json:"engine_events,omitempty"` // dispatched + elided
+	ElidedEvents *uint64 `json:"elided_events,omitempty"`
 }
 
 func main() {
@@ -153,10 +159,14 @@ func main() {
 	// declaration order.
 	tables := make([]*exp.Table, len(selected))
 	durations := make([]time.Duration, len(selected))
+	events := make([][2]uint64, len(selected)) // engine events, elided; -jobs 1 only
 	start := time.Now()
 	exp.RunParallel(len(selected), func(i int) {
 		t0 := time.Now()
+		d0, e0 := sim.TotalEvents()
 		tables[i] = selected[i].run()
+		d1, e1 := sim.TotalEvents()
+		events[i] = [2]uint64{d1 - d0 + e1 - e0, e1 - e0}
 		durations[i] = time.Since(t0)
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", selected[i].name, durations[i].Round(time.Millisecond))
 	})
@@ -170,7 +180,11 @@ func main() {
 		report.Experiments = append(report.Experiments, exp.Result{
 			Name: e.name, Title: tables[i].Title, Metrics: tables[i].Metrics,
 		})
-		wall.Experiments = append(wall.Experiments, ExperimentWall{Name: e.name, Seconds: durations[i].Seconds()})
+		ew := ExperimentWall{Name: e.name, Seconds: durations[i].Seconds()}
+		if *jobs == 1 {
+			ew.EngineEvents, ew.ElidedEvents = &events[i][0], &events[i][1]
+		}
+		wall.Experiments = append(wall.Experiments, ew)
 	}
 
 	dispatched, elided := sim.TotalEvents()

@@ -54,9 +54,9 @@ func (l *Spin) Acquire(p *sim.Proc) {
 	p.Branch(2)
 	delay := l.Initial
 	for {
-		// Back off locally, with jitter so contenders desynchronize.
-		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
-		if p.Swap(l.lock, 1) == 0 {
+		// Back off locally, with jitter so contenders desynchronize, then
+		// retry.
+		if p.ThinkSwap(delay/2+p.RNG().Duration(delay/2+1), l.lock, 1) == 0 {
 			p.Branch(1)
 			return
 		}

@@ -109,8 +109,7 @@ func (l *Tuned) acquire(p *sim.Proc) {
 	// module has headroom; fall through to the queue on crossover.
 	delay := sim.Duration(sim.Micros(1))
 	for l.ctl.Mode() == tune.ModeSpin {
-		p.Think(delay/2 + p.RNG().Duration(delay/2+1))
-		old = p.Swap(l.word, adHeld)
+		old = p.ThinkSwap(delay/2+p.RNG().Duration(delay/2+1), l.word, adHeld)
 		p.Branch(1)
 		c.Attempts++
 		if old == adFree {

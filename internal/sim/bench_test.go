@@ -11,7 +11,7 @@ func reportPerSimEvent(b *testing.B, e *Engine) {
 	}
 }
 
-// BenchmarkEventDispatch measures the bare heap: a chain of closure events
+// BenchmarkEventDispatch measures the bare queue: a chain of closure events
 // with nothing to coalesce, so every event is pushed, popped and dispatched.
 func BenchmarkEventDispatch(b *testing.B) {
 	e := NewEngine()
@@ -77,6 +77,59 @@ func BenchmarkSwapStorm(b *testing.B) {
 		m.Go(i, func(p *Proc) {
 			for k := 0; k < per; k++ {
 				p.Swap(a, uint64(p.ID()))
+			}
+		})
+	}
+	b.ResetTimer()
+	m.RunAll()
+	b.StopTimer()
+	reportPerSimEvent(b, m.Eng)
+}
+
+// BenchmarkQueue256 measures the event queue at the depth of a 256-way
+// convoy: 256 pending events, each rescheduling itself 1 to 1023 cycles
+// ahead when it fires (a jittered backoff), so every dispatch is one pop
+// and one push with 255 other events queued. Closures stand in for the
+// processor wakes to keep coroutine switches out of the number.
+func BenchmarkQueue256(b *testing.B) {
+	e := NewEngine()
+	rng := NewRNG(1)
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		if n <= b.N-256 {
+			e.After(1+rng.Duration(1022), tick)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		e.At(rng.Duration(1023), tick)
+	}
+	b.ResetTimer()
+	e.RunAll()
+	b.StopTimer()
+	reportPerSimEvent(b, e)
+}
+
+// BenchmarkBackoffSwapConvoy measures the backoff-and-retry path of a
+// 256-processor spin-lock convoy: every processor retries an atomic swap
+// on one word with jittered, capped exponential backoff (ThinkSwap), holds
+// briefly when it wins and releases with a swap. b.N counts retries.
+func BenchmarkBackoffSwapConvoy(b *testing.B) {
+	m := NewMachine(Config{Seed: 1, Stations: 32, ProcsPerStation: 8, StationsPerRing: 4})
+	a := m.Alloc(0, 1)
+	per := b.N/m.NumProcs() + 1
+	for i := 0; i < m.NumProcs(); i++ {
+		m.Go(i, func(p *Proc) {
+			delay := Micros(1)
+			for k := 0; k < per; k++ {
+				if p.ThinkSwap(delay/2+p.RNG().Duration(delay/2+1), a, 1) != 0 {
+					delay = min(2*delay, Micros(35))
+					continue
+				}
+				p.Think(Micros(5))
+				p.Swap(a, 0)
+				delay = Micros(1)
 			}
 		})
 	}

@@ -17,11 +17,13 @@ type event struct {
 	seq    uint64
 	proc   *Proc  // non-nil: wake this processor (no closure needed)
 	fn     func() // otherwise: call fn
+	next   int32  // queue link: the next event in its wheel slot, or the next free entry
 	daemon bool
 }
 
 // before orders events by (time, sequence). seq is unique, so this is a
-// strict total order: pop order is independent of heap shape or arity.
+// strict total order: dispatch order is independent of how the queue
+// stores events.
 func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -35,7 +37,7 @@ func (a *event) before(b *event) bool {
 // and are only added to when a Run call returns.
 var totalDispatched, totalElided atomic.Uint64
 
-// TotalEvents reports process-wide engine activity: heap events dispatched
+// TotalEvents reports process-wide engine activity: queued events dispatched
 // and clock advances elided by the coalescing fast path, summed over all
 // completed Run calls of all engines.
 func TotalEvents() (dispatched, elided uint64) {
@@ -48,7 +50,7 @@ func TotalEvents() (dispatched, elided uint64) {
 // reproducible.
 type Engine struct {
 	now    Time
-	events []event // inlined 4-ary min-heap ordered by event.before
+	events queue // ordered by event.before
 	seq    uint64
 	// live counts queued non-daemon events; when it reaches zero the run is
 	// over even if daemon (observer) events remain queued.
@@ -59,8 +61,8 @@ type Engine struct {
 	// sleepUntil fast path may only advance the clock inside that window.
 	running  bool
 	runUntil Time
-	// processed counts heap events dispatched; elided counts clock advances
-	// that the coalescing fast path performed without a heap event. Their
+	// processed counts queued events dispatched; elided counts clock advances
+	// that the coalescing fast path performed without a queued event. Their
 	// sum is the logical event count (a progress/≈cost metric).
 	processed uint64
 	elided    uint64
@@ -70,63 +72,24 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	e.events.init()
+	return e
 }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
 // Processed reports how many events have been processed so far, counting
-// both dispatched heap events and elided fast-path clock advances.
+// both dispatched queued events and elided fast-path clock advances.
 func (e *Engine) Processed() uint64 { return e.processed + e.elided }
 
-// push inserts ev into the 4-ary heap. A 4-ary heap trades slightly more
-// comparisons on pop for half the swap depth and better cache locality than
-// the binary container/heap, and inlining it removes the interface{} boxing
-// that made every push allocate.
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	i := len(e.events) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.events[i].before(&e.events[parent]) {
-			break
-		}
-		e.events[i], e.events[parent] = e.events[parent], e.events[i]
-		i = parent
+// setNow moves the clock forward to t, taking the queue's window with it.
+func (e *Engine) setNow(t Time) {
+	e.now = t
+	if t-e.events.base >= slotWidth {
+		e.events.advance(t)
 	}
-}
-
-// pop removes and returns the minimum event.
-func (e *Engine) pop() event {
-	top := e.events[0]
-	n := len(e.events) - 1
-	e.events[0] = e.events[n]
-	e.events[n] = event{} // drop fn/proc references
-	e.events = e.events[:n]
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.events[c].before(&e.events[min]) {
-				min = c
-			}
-		}
-		if !e.events[min].before(&e.events[i]) {
-			break
-		}
-		e.events[i], e.events[min] = e.events[min], e.events[i]
-		i = min
-	}
-	return top
 }
 
 // At schedules fn to run at time t. Scheduling in the past panics: it would
@@ -137,7 +100,7 @@ func (e *Engine) At(t Time, fn func()) {
 	}
 	e.seq++
 	e.live++
-	e.push(event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // atProc schedules a wake-up of p at time t: the closure-free equivalent of
@@ -148,25 +111,24 @@ func (e *Engine) atProc(t Time, p *Proc) {
 	}
 	e.seq++
 	e.live++
-	e.push(event{at: t, seq: e.seq, proc: p})
+	e.events.push(event{at: t, seq: e.seq, proc: p})
 }
 
 // sleepOrElide advances the clock to t on behalf of a sleeping processor.
-// When no other event could possibly run in the window (now, t] — the heap
+// When no other event could possibly run in the window (now, t] — the queue
 // is empty or its head is strictly later than t, no Stop is pending, and t
 // is within the current Run's bound — it simply sets the clock and returns
 // true: nothing could have observed the difference, because interrupts and
-// memory writes only originate from events, daemons live in the same heap,
+// memory writes only originate from events, daemons live in the same queue,
 // and skipping the wake event's sequence number uniformly shifts later
 // sequence numbers without reordering any coexisting pair. Otherwise it
 // schedules a real wake event and returns false, and the caller must block.
 // This is the coalescing fast path: straight-line Think/Reg/Branch runs and
-// the latency tails of uncontended memory accesses never touch the heap or
+// the latency tails of uncontended memory accesses never touch the queue or
 // switch coroutines.
 func (e *Engine) sleepOrElide(t Time, p *Proc) bool {
-	if e.running && !e.stopped && t <= e.runUntil &&
-		(len(e.events) == 0 || e.events[0].at > t) {
-		e.now = t
+	if e.running && !e.stopped && t <= e.runUntil && e.events.head > t {
+		e.setNow(t)
 		e.elided++
 		return true
 	}
@@ -187,7 +149,7 @@ func (e *Engine) AtDaemon(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn, daemon: true})
+	e.events.push(event{at: t, seq: e.seq, fn: fn, daemon: true})
 }
 
 // Every runs fn as a daemon every period cycles, first at now+period, until
@@ -229,30 +191,31 @@ func (e *Engine) Run(until Time) uint64 {
 	startDispatched, startElided := e.processed, e.elided
 	prevRunning, prevUntil := e.running, e.runUntil
 	e.running, e.runUntil = true, until
-	for len(e.events) > 0 {
+	for e.events.len() > 0 {
 		if e.live == 0 {
 			// Only daemon observers remain: the simulation proper is over.
-			// Discard them so the queue reads as drained (Shutdown-safe).
-			e.events = e.events[:0]
+			// Discard them so the queue reads as drained (Shutdown-safe);
+			// the clock stays where the last real event left it.
+			e.events.clear()
 			break
 		}
 		if e.stopped {
 			e.stopped = false
 			break
 		}
-		if e.events[0].at > until {
+		if e.events.head > until {
 			break
 		}
-		ev := e.pop()
-		e.now = ev.at
+		at, proc, fn, daemon := e.events.pop()
+		e.setNow(at)
 		e.processed++
-		if !ev.daemon {
+		if !daemon {
 			e.live--
 		}
-		if ev.proc != nil {
-			ev.proc.wakeEvent()
+		if proc != nil {
+			proc.wakeEvent()
 		} else {
-			ev.fn()
+			fn()
 		}
 	}
 	e.running, e.runUntil = prevRunning, prevUntil
@@ -267,4 +230,4 @@ func (e *Engine) RunAll() uint64 {
 }
 
 // Pending reports how many events are queued.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.events.len() }

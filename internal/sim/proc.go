@@ -63,7 +63,13 @@ type Proc struct {
 
 	irqEnabled bool
 	inISR      bool
+	// swapArmed marks a ThinkSwap blocked on its think's wake: the engine
+	// swaps swapVal into swapAddr at the wake (see swapAtWake) and leaves
+	// the old value in swapVal.
+	swapArmed  bool
 	pendingIRQ []IRQHandler
+	swapAddr   Addr
+	swapVal    uint64
 
 	counters InstrCounters
 }
@@ -129,9 +135,30 @@ func (p *Proc) wakeEvent() {
 	if p.finished {
 		return
 	}
+	if p.swapArmed && p.swapAtWake() {
+		return
+	}
 	if _, ok := p.next(); !ok {
 		p.finished = true
 	}
+}
+
+// swapAtWake performs an armed ThinkSwap's swap from engine context at the
+// think's wake, exactly where the resumed processor would have performed it:
+// inside the wake event, so under the wake's own sequence number, with the
+// same counters and access trace event, finishing through the same
+// sleepOrElide. It reports whether the processor stays blocked until the
+// swap's completion wake. An interrupt due at the wake would run before the
+// swap, so then it leaves the swap armed, does nothing, and reports false:
+// the processor resumes, takes the interrupt and swaps itself.
+func (p *Proc) swapAtWake() bool {
+	if p.irqDue() {
+		return false
+	}
+	p.swapArmed = false
+	var done Time
+	p.swapVal, done = p.swapAccess(p.swapAddr, p.swapVal)
+	return !p.eng.sleepOrElide(done, p)
 }
 
 // block suspends the processor until the engine resumes it.
@@ -239,11 +266,42 @@ func (p *Proc) Store(a Addr, v uint64) {
 // atomic primitive HECTOR provides. The module is occupied for two accesses
 // but the processor proceeds once the fetch half completes.
 func (p *Proc) Swap(a Addr, v uint64) uint64 {
-	p.counters.Atomic++
-	old, done, _ := p.mem.access(p, a, accSwap, v, 0)
+	old, done := p.swapAccess(a, v)
 	p.sleepUntil(done)
 	p.checkIRQ()
 	return old
+}
+
+// swapAccess makes a swap's memory access and returns the old value and
+// the time the processor may proceed.
+func (p *Proc) swapAccess(a Addr, v uint64) (uint64, Time) {
+	p.counters.Atomic++
+	old, done, _ := p.mem.access(p, a, accSwap, v, 0)
+	return old, done
+}
+
+// ThinkSwap is Think(d) followed by Swap(a, v), the back-off-and-retry step
+// of a spinning lock, with exactly their timing, counters, trace events and
+// event order. When the think's wake cannot be elided, the engine performs the
+// swap itself at the wake, so a retry whose swap then blocks switches to
+// the processor once instead of twice.
+func (p *Proc) ThinkSwap(d Duration, a Addr, v uint64) uint64 {
+	if d == 0 {
+		return p.Swap(a, v)
+	}
+	if p.eng.sleepOrElide(p.eng.Now()+d, p) {
+		p.checkIRQ()
+		return p.Swap(a, v)
+	}
+	p.swapArmed, p.swapAddr, p.swapVal = true, a, v
+	p.block()
+	if p.swapArmed { // an interrupt was due at the wake
+		p.swapArmed = false
+		p.checkIRQ()
+		return p.Swap(a, v)
+	}
+	p.checkIRQ()
+	return p.swapVal
 }
 
 // CAS atomically compares the word at a with expect and, if equal, stores v.
@@ -316,10 +374,14 @@ func (p *Proc) postIRQ(h IRQHandler) {
 
 // checkIRQ delivers pending interrupts at an instruction boundary.
 func (p *Proc) checkIRQ() {
-	if !p.irqEnabled || p.inISR {
-		return
+	if p.irqDue() {
+		p.deliverIRQs()
 	}
-	p.deliverIRQs()
+}
+
+// irqDue reports whether checkIRQ would run an interrupt handler now.
+func (p *Proc) irqDue() bool {
+	return p.irqEnabled && !p.inISR && len(p.pendingIRQ) > 0
 }
 
 func (p *Proc) deliverIRQs() {
